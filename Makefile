@@ -47,15 +47,16 @@ bench-compare:
 # Machine-readable perf baseline (BENCH_cache.json): the cache/replay
 # microbenchmarks at full benchtime plus the campaign-level exhibits and
 # allocation-profile benchmarks at a few iterations, parsed into
-# benchmark -> {ns/op, B/op, allocs/op}. benchjson is built (not `go run`)
+# benchmark -> {ns/op, B/op, allocs/op}, all at -cpu 1 (GOMAXPROCS=1, which
+# _meta records and bench-check requires). benchjson is built (not `go run`)
 # so the binary carries VCS build info and the baseline's _meta records the
 # git revision that produced it; benchjson refuses to write a baseline from
 # a dirty tree, so the recorded SHA always identifies the measured code.
 bench-json:
 	$(GO) build -o benchjson.bin ./cmd/benchjson
-	{ $(GO) test -run '^$$' -bench . -benchmem \
+	{ $(GO) test -run '^$$' -bench . -benchmem -cpu 1 \
 		./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/ ; \
-	  $(GO) test -run '^$$' -benchmem -benchtime 2x \
+	  $(GO) test -run '^$$' -benchmem -benchtime 2x -cpu 1 \
 		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$' . ; } \
 	| ./benchjson.bin -o BENCH_cache.json
 	rm -f benchjson.bin
@@ -63,10 +64,12 @@ bench-json:
 # The allocation regression gate: re-runs the campaign allocation-profile
 # benchmarks and fails if any exceeds its committed BENCH_cache.json
 # ceiling on B/op or allocs/op (ns/op is never gated — it varies with the
-# host; allocation counts are properties of the code).
+# host). Allocation counts vary with GOMAXPROCS (parallel runners, per-P
+# pools), so the run is pinned to the baseline's -cpu 1 and benchjson
+# refuses any other.
 bench-check:
 	$(GO) build -o benchjson.bin ./cmd/benchjson
-	$(GO) test -run '^$$' -benchmem -benchtime 2x \
+	$(GO) test -run '^$$' -benchmem -benchtime 2x -cpu 1 \
 		-bench 'BenchmarkComparePolicies$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$' . \
 	| ./benchjson.bin -check BENCH_cache.json
 	rm -f benchjson.bin

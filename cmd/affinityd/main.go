@@ -210,6 +210,12 @@ func run() (err error) {
 	}
 	srv := service.New(cfg)
 
+	// The handler goes in before the listening line below: scripts and
+	// tests take that line as ready and may signal right after it, and a
+	// signal that lands before Notify kills the process undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -217,6 +223,12 @@ func run() (err error) {
 	// The smoke gate and scripts parse this line for the bound port.
 	fmt.Printf("affinityd: listening on http://%s (engine %s, %s)\n",
 		ln.Addr(), version.Engine, version.GitSHA())
+	hs := &http.Server{Handler: srv.Handler()}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+
+	// A worker registers only once its execute handler is being served:
+	// the coordinator may dispatch to it as soon as registration lands.
 	if fleetWorker != nil {
 		adv := *advertise
 		if adv == "" {
@@ -232,12 +244,6 @@ func run() (err error) {
 		fmt.Printf("affinityd: worker mode (registering with %s, advertising %s)\n", *join, adv)
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("affinityd: %v — draining (in-flight jobs finish, queued jobs cancel)\n", s)

@@ -14,7 +14,8 @@
 // The GOMAXPROCS suffix (-16) is stripped from names so baselines compare
 // across machines; the parallelism used, the git revision, and the engine
 // version are recorded once under "_meta" so a committed baseline says
-// exactly which code produced it. Writing a baseline from a dirty working
+// exactly which code produced it. -check refuses a run whose parallelism
+// differs from the baseline's, since allocation counts vary with it. Writing a baseline from a dirty working
 // tree is refused (override with -allow-dirty): a baseline whose recorded
 // SHA does not identify the measured code is worse than none.
 package main
@@ -65,7 +66,7 @@ func main() {
 	flag.Parse()
 	var err error
 	if *check != "" {
-		err = runCheck(*check)
+		err = runCheck(*check, os.Stdin)
 	} else {
 		err = runWrite(*out, *allowDirty)
 	}
@@ -140,12 +141,12 @@ func runWrite(out string, allowDirty bool) error {
 	return os.WriteFile(out, buf, 0o644)
 }
 
-// runCheck compares the benchmarks on stdin against the baseline file and
+// runCheck compares the benchmarks read from in against the baseline file and
 // fails when any shared benchmark exceeds its B/op or allocs/op ceiling.
 // Wall-clock is printed as a fresh/baseline time-per-op ratio alongside the
 // gated columns, purely for the reader: a 3x allocation-neutral slowdown
 // should be visible in ci output even though only allocations can fail it.
-func runCheck(baselinePath string) error {
+func runCheck(baselinePath string, in io.Reader) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -154,9 +155,22 @@ func runCheck(baselinePath string) error {
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("parsing %s: %w", baselinePath, err)
 	}
-	fresh, _, err := parseBench(os.Stdin)
+	fresh, procs, err := parseBench(in)
 	if err != nil {
 		return err
+	}
+	// Allocation counts depend on GOMAXPROCS (per-P pools, parallel
+	// runners), so a ceiling only holds at the parallelism it was recorded
+	// at; a run at any other setting is refused rather than compared.
+	var meta struct {
+		GOMAXPROCS string `json:"gomaxprocs"`
+	}
+	if err := json.Unmarshal(baseline["_meta"], &meta); err != nil || meta.GOMAXPROCS == "" {
+		return fmt.Errorf("baseline %s records no _meta.gomaxprocs", baselinePath)
+	}
+	if procs != meta.GOMAXPROCS {
+		return fmt.Errorf("benchmarks ran at GOMAXPROCS=%s but baseline %s was recorded at %s; rerun with -cpu %s",
+			procs, baselinePath, meta.GOMAXPROCS, meta.GOMAXPROCS)
 	}
 	names := make([]string, 0, len(fresh))
 	for name := range fresh {

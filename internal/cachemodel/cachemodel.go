@@ -99,7 +99,11 @@ type Stats struct {
 // Footprint is the analytic occupancy model (the default).
 type Footprint struct {
 	procs []*footprint.Cache
-	stats Stats
+	// slots maps each task gid to the dense id its footprint.Cache
+	// entries are keyed by, assigned in order of first Commit.
+	slots  map[int]int
+	sibBuf []int // InvalidateShared scratch: the siblings' slots
+	stats  Stats
 }
 
 // NewFootprint builds the analytic model for nprocs processors with caches
@@ -108,7 +112,7 @@ func NewFootprint(nprocs, capacityLines int) (*Footprint, error) {
 	if nprocs <= 0 {
 		return nil, fmt.Errorf("cachemodel: need at least one processor")
 	}
-	f := &Footprint{}
+	f := &Footprint{slots: make(map[int]int)}
 	for i := 0; i < nprocs; i++ {
 		fc, err := footprint.New(capacityLines)
 		if err != nil {
@@ -127,6 +131,7 @@ func (f *Footprint) Reset() {
 	for _, fc := range f.procs {
 		fc.Reset()
 	}
+	clear(f.slots)
 	f.stats = Stats{}
 }
 
@@ -135,7 +140,11 @@ func (f *Footprint) Stats() Stats { return f.stats }
 
 // Resident implements Model.
 func (f *Footprint) Resident(proc, task int) float64 {
-	return f.procs[proc].Resident(task)
+	s, ok := f.slots[task]
+	if !ok {
+		return 0
+	}
+	return f.procs[proc].Resident(s)
 }
 
 // Plan implements Model.
@@ -147,18 +156,32 @@ func (f *Footprint) Plan(proc, task int, pat *memtrace.Pattern, c0, w simtime.Du
 // Commit implements Model.
 func (f *Footprint) Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
 	f.stats.Commits++
-	return f.procs[proc].RunSegment(task, pat, c0, c0+w, r0)
+	s, ok := f.slots[task]
+	if !ok {
+		s = len(f.slots)
+		f.slots[task] = s
+	}
+	return f.procs[proc].RunSegment(s, pat, c0, c0+w, r0)
 }
 
 // InvalidateShared implements Model.
 func (f *Footprint) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
+	// A sibling that never committed holds no lines anywhere; dropping it
+	// skips only additions of zero, so the sum is unchanged.
+	slots := f.sibBuf[:0]
+	for _, sib := range siblings {
+		if s, ok := f.slots[sib]; ok {
+			slots = append(slots, s)
+		}
+	}
+	f.sibBuf = slots
 	total := 0.0
 	for p, fc := range f.procs {
 		if p == fromProc {
 			continue
 		}
-		for _, sib := range siblings {
-			total += fc.Invalidate(sib, lines)
+		for _, s := range slots {
+			total += fc.Invalidate(s, lines)
 		}
 	}
 	f.stats.Flushes++

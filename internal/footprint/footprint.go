@@ -48,16 +48,16 @@ type Profile interface {
 }
 
 // Cache models one processor's cache occupancy, in (fractional) lines,
-// keyed by task identifier.
+// keyed by task identifier. Task identifiers are small non-negative
+// integers: they index a dense position table that grows to the largest
+// identifier loaded.
 //
-// Occupancy entries are stored in a slice (with a map only as an index) so
-// that the proportional-eviction arithmetic iterates tasks in a
-// deterministic order: identical simulation runs must produce bitwise
-// identical results, and map iteration order would perturb floating-point
-// accumulation.
+// Occupancy entries are stored in a slice, in load order, so that the
+// proportional-eviction arithmetic iterates tasks in a deterministic order:
+// identical simulation runs must produce bitwise identical results.
 type Cache struct {
 	capacity float64
-	idx      map[int]int // task -> position in entries
+	pos      []int32 // task -> 1 + its position in entries; 0 when absent
 	entries  []entry
 	occupied float64
 }
@@ -67,16 +67,17 @@ type entry struct {
 	lines float64
 }
 
+// minPosLen is the smallest position table a Cache allocates, so the table
+// reaches a typical run's task count in one or two allocations.
+const minPosLen = 32
+
 // New creates an occupancy model for a cache of the given capacity in
 // lines.
 func New(capacityLines int) (*Cache, error) {
 	if capacityLines <= 0 {
 		return nil, fmt.Errorf("footprint: capacity must be positive, got %d", capacityLines)
 	}
-	return &Cache{
-		capacity: float64(capacityLines),
-		idx:      make(map[int]int),
-	}, nil
+	return &Cache{capacity: float64(capacityLines)}, nil
 }
 
 // MustNew is New for known-good capacities.
@@ -91,10 +92,18 @@ func MustNew(capacityLines int) *Cache {
 // Capacity returns the modelled capacity in lines.
 func (c *Cache) Capacity() float64 { return c.capacity }
 
+// find returns task's position in entries.
+func (c *Cache) find(task int) (int, bool) {
+	if uint(task) >= uint(len(c.pos)) || c.pos[task] == 0 {
+		return 0, false
+	}
+	return int(c.pos[task] - 1), true
+}
+
 // Resident returns the expected number of lines task currently has
 // resident.
 func (c *Cache) Resident(task int) float64 {
-	if i, ok := c.idx[task]; ok {
+	if i, ok := c.find(task); ok {
 		return c.entries[i].lines
 	}
 	return 0
@@ -105,13 +114,15 @@ func (c *Cache) Occupied() float64 { return c.occupied }
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
-	clear(c.idx)
+	for _, e := range c.entries {
+		c.pos[e.task] = 0
+	}
 	c.entries = c.entries[:0]
 	c.occupied = 0
 }
 
 // Reset prepares the cache for a fresh simulation run: occupancy is
-// emptied while the entry slice and index map keep their allocated
+// emptied while the entry slice and position table keep their allocated
 // capacity, so a cache reused across the replications of an experiment
 // cell stops re-growing its internals after the first run.
 func (c *Cache) Reset() { c.Flush() }
@@ -119,17 +130,17 @@ func (c *Cache) Reset() { c.Flush() }
 // remove drops the entry at position i by swapping with the last entry.
 func (c *Cache) remove(i int) {
 	last := len(c.entries) - 1
-	delete(c.idx, c.entries[i].task)
+	c.pos[c.entries[i].task] = 0
 	if i != last {
 		c.entries[i] = c.entries[last]
-		c.idx[c.entries[i].task] = i
+		c.pos[c.entries[i].task] = int32(i + 1)
 	}
 	c.entries = c.entries[:last]
 }
 
 // Evict removes all of task's lines (e.g. on task exit).
 func (c *Cache) Evict(task int) {
-	if i, ok := c.idx[task]; ok {
+	if i, ok := c.find(task); ok {
 		c.occupied -= c.entries[i].lines
 		c.remove(i)
 	}
@@ -142,7 +153,7 @@ func (c *Cache) Invalidate(task int, lines float64) float64 {
 	if lines <= 0 {
 		return 0
 	}
-	i, ok := c.idx[task]
+	i, ok := c.find(task)
 	if !ok {
 		return 0
 	}
@@ -201,11 +212,16 @@ func (c *Cache) Load(task int, lines float64) {
 			}
 		}
 	}
-	if i, ok := c.idx[task]; ok {
+	if i, ok := c.find(task); ok {
 		c.entries[i].lines += grow
 	} else {
-		c.idx[task] = len(c.entries)
+		if task >= len(c.pos) {
+			pos := make([]int32, max(task+1, 2*len(c.pos), minPosLen))
+			copy(pos, c.pos)
+			c.pos = pos
+		}
 		c.entries = append(c.entries, entry{task: task, lines: r + grow})
+		c.pos[task] = int32(len(c.entries))
 	}
 	c.occupied += grow
 	if c.occupied > c.capacity {

@@ -6,8 +6,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// ThreadState tracks one thread's lifecycle within a running job.
-type ThreadState int
+// ThreadState tracks one thread's lifecycle within a running job. It is a
+// byte because a job keeps one per thread and graphs run to ~10^4 threads.
+type ThreadState uint8
 
 // Thread lifecycle states.
 const (
