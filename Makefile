@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
+.PHONY: all build vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke perfbench ci
 
 all: build
 
@@ -124,4 +124,12 @@ analytic-smoke:
 	$(GO) run ./cmd/analyticcalib -check
 	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
 
-ci: vet build race bench-smoke bench-cache bench-check serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke
+# The end-to-end benchmark harness is its own module (perfbench/go.mod,
+# replace repro => ../), so `go vet ./...` and `go test ./...` above never
+# compile it — yet it builds against resultcache, diskstore, fleet and
+# experiments. Vet and test it here so an API change that breaks the
+# harness fails ci.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet build race bench-smoke bench-cache bench-check serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke perfbench

@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -185,6 +183,7 @@ type Coordinator struct {
 	cfg    Config
 	client *http.Client
 	auth   *authenticator
+	tiers  resultcache.Tiers
 
 	// Stats holds the dispatch counters; read directly by /metrics.
 	Stats Metrics
@@ -204,6 +203,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		client:  client,
 		auth:    newAuthenticator(cfg.Token),
+		tiers:   resultcache.Tiers{Mem: cfg.Cache, Disk: cfg.Store},
 		workers: make(map[string]*workerState),
 	}
 }
@@ -286,9 +286,9 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 // handleCell is peer cache fill: a fleet member asks for a cell body
 // the fleet may already have paid for. The coordinator checks its own
-// memory tier, then its disk store, then relays the read to the other
-// workers' tiers — excluding the requester (X-Fleet-Peer), which just
-// reported the miss.
+// memory tier, then its disk store (promoting a disk hit into memory),
+// then relays the read to the other workers' tiers — excluding the
+// requester (X-Fleet-Peer), which just reported the miss.
 func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 	api.EchoRequestID(w, r)
 	if err := c.auth.verify(r, nil); err != nil {
@@ -297,34 +297,18 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if c.cfg.Cache != nil {
-		if body, costNs, ok := c.cfg.Cache.GetCost(key); ok {
-			c.Stats.PeerHits.Inc()
-			serveCell(w, body, costNs)
-			return
-		}
+	if body, costNs, tier := c.tiers.Get(key); tier != resultcache.TierNone {
+		c.Stats.PeerHits.Inc()
+		serveCell(w, body, costNs)
+		return
 	}
-	if c.cfg.Store != nil {
-		if body, costNs, ok := c.cfg.Store.Get(key); ok {
-			c.Stats.PeerHits.Inc()
-			serveCell(w, body, costNs)
-			return
-		}
-	}
-	if body, costNs, ok := c.peerFill(r.Context(), key, r.Header.Get(peerHeader)); ok {
+	if body, costNs, _, ok := c.peerFillAttributed(r.Context(), key, r.Header.Get(peerHeader)); ok {
 		c.Stats.WorkerFills.Inc()
 		serveCell(w, body, costNs)
 		return
 	}
 	c.Stats.PeerMisses.Inc()
 	writeFleetError(w, http.StatusNotFound, "not_found", "", "cell not cached anywhere in the fleet")
-}
-
-// serveCell writes a raw cell body with its exec-cost metadata.
-func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(execCostHeader, strconv.FormatUint(costNs, 10))
-	w.Write(body)
 }
 
 // PeerFill asks the live workers' memory+disk tiers for a cell body the
@@ -336,12 +320,9 @@ func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, co
 	return c.peerFillAttributed(ctx, key, "")
 }
 
-// peerFill is PeerFill without attribution, for the relay path.
-func (c *Coordinator) peerFill(ctx context.Context, key, exclude string) ([]byte, uint64, bool) {
-	body, costNs, _, ok := c.peerFillAttributed(ctx, key, exclude)
-	return body, costNs, ok
-}
-
+// peerFillAttributed probes up to peerFillFanout live workers' tiers,
+// best-scored first and skipping exclude (the requester of a relayed
+// read), and promotes the first hit into the coordinator's own tiers.
 func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude string) ([]byte, uint64, string, bool) {
 	now := time.Now()
 	c.mu.Lock()
@@ -382,47 +363,19 @@ func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude strin
 		if ctx.Err() != nil {
 			return nil, 0, "", false
 		}
-		body, costNs, ok := c.fetchCell(ctx, cd.url, key)
+		// Each probe is bounded by the peer-fill timeout: the relay is an
+		// optimization, so a slow tier must not stall the requester.
+		probeCtx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
+		body, costNs, ok := fetchCell(probeCtx, c.client, c.auth, cd.url, key, nil)
+		cancel()
 		if ok {
 			// Promote: the coordinator's own tiers now have the bytes, so
 			// the next reader anywhere in the fleet stops at tier one.
-			if c.cfg.Cache != nil {
-				c.cfg.Cache.PutCost(key, body, costNs)
-			}
-			if c.cfg.Store != nil {
-				c.cfg.Store.Put(key, body, costNs)
-			}
+			c.tiers.Put(key, body, costNs)
 			return body, costNs, cd.url, true
 		}
 	}
 	return nil, 0, "", false
-}
-
-// fetchCell GETs one worker's cell-read endpoint, bounded by the
-// peer-fill timeout.
-func (c *Coordinator) fetchCell(ctx context.Context, workerURL, key string) ([]byte, uint64, bool) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, workerURL+PathCells+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, 0, false
-	}
-	c.auth.sign(req, nil)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, 0, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil || len(body) == 0 || !json.Valid(body) {
-		return nil, 0, false
-	}
-	costNs, _ := strconv.ParseUint(resp.Header.Get(execCostHeader), 10, 64)
-	return body, costNs, true
 }
 
 // WorkerView is the /v1/workers wire form of one registered worker.
@@ -453,11 +406,11 @@ type WorkerDetail struct {
 	// RTTMeanMs is the EWMA the scorer uses; the percentiles summarize
 	// the full per-worker histogram (log2 buckets, so upper bounds
 	// within 2×).
-	RTTMeanMs  float64 `json:"rtt_mean_ms"`
-	RTTCount   uint64  `json:"rtt_count"`
-	RTTP50Ms   float64 `json:"rtt_p50_ms"`
-	RTTP90Ms   float64 `json:"rtt_p90_ms"`
-	RTTP99Ms   float64 `json:"rtt_p99_ms"`
+	RTTMeanMs float64 `json:"rtt_mean_ms"`
+	RTTCount  uint64  `json:"rtt_count"`
+	RTTP50Ms  float64 `json:"rtt_p50_ms"`
+	RTTP90Ms  float64 `json:"rtt_p90_ms"`
+	RTTP99Ms  float64 `json:"rtt_p99_ms"`
 }
 
 func (ws *workerState) view() WorkerView {

@@ -49,8 +49,12 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -163,6 +167,46 @@ const execCostHeader = "X-Exec-Cost-Ns"
 // coordinator's relay never asks the requester for the bytes it just
 // reported missing.
 const peerHeader = "X-Fleet-Peer"
+
+// serveCell writes a raw cell body with its exec-cost metadata: the
+// answer side of GET /v1/fleet/cells/{key}.
+func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(execCostHeader, strconv.FormatUint(costNs, 10))
+	w.Write(body)
+}
+
+// fetchCell is the asking side: it GETs base's cell-read endpoint for
+// key, signed with auth, and returns the body with its exec-cost
+// metadata. Both directions of peer fill use it — a worker asking the
+// coordinator, the coordinator relaying to workers — each bounding it
+// with its own ctx and adding its own headers (hdr may be nil). Any
+// failure, non-200 or non-JSON body is a miss.
+func fetchCell(ctx context.Context, client *http.Client, auth *authenticator, base, key string, hdr http.Header) ([]byte, uint64, bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathCells+url.PathEscape(key), nil)
+	if err != nil {
+		return nil, 0, false
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	auth.sign(req, nil)
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, 0, false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return nil, 0, false
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil || len(body) == 0 || !json.Valid(body) {
+		return nil, 0, false
+	}
+	costNs, _ := strconv.ParseUint(resp.Header.Get(execCostHeader), 10, 64)
+	return body, costNs, true
+}
 
 // Budget is a per-campaign cap on dispatch overshoot: every retry and
 // hedge beyond a cell's first attempt spends one unit. When the budget

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diskstore"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/resultcache"
@@ -427,5 +429,128 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 	if got := c.Stats.PeerHits.Load(); got != 1 {
 		t.Errorf("coordinator PeerHits = %d, want 1", got)
+	}
+}
+
+// compareCellKey plans a one-cell compare campaign and returns an
+// execute request for its cell, without running it.
+func compareCellKey(t *testing.T) ExecuteRequest {
+	t.Helper()
+	campaign, ok := experiments.CampaignByKind("compare")
+	if !ok {
+		t.Fatal("compare kind unregistered")
+	}
+	params, err := campaign.Normalize(experiments.CampaignParams{
+		Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := experiments.Cells("compare", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := &plan.Cells[0]
+	return ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID,
+		Key: resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)}
+}
+
+// openStore opens a diskstore in a fresh temp dir, closed with the test.
+func openStore(t *testing.T) *diskstore.Store {
+	t.Helper()
+	s, err := diskstore.Open(t.TempDir(), diskstore.Options{EngineVersion: version.Engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func syncStore(t *testing.T, s *diskstore.Store) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWorkerPeerFillReachesDisk: a peer-filled cell is filed in both of
+// the worker's tiers, so a restarted -store-dir worker does not fetch it
+// again — with the coordinator's cost, not a zero or local one.
+func TestWorkerPeerFillReachesDisk(t *testing.T) {
+	cache := resultcache.New(1 << 20)
+	coord := coordServer(t, NewCoordinator(Config{Cache: cache}))
+	req := compareCellKey(t)
+	want := []byte(`{"peer":"filled"}`)
+	cache.PutCost(req.Key, want, 123)
+
+	store := openStore(t)
+	w := NewWorker(WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Store: store})
+	mux := http.NewServeMux()
+	w.RegisterHandlers(mux)
+	wts := httptest.NewServer(mux)
+	t.Cleanup(wts.Close)
+
+	payload, _ := json.Marshal(req)
+	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp ExecuteResponse
+	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if resp.Source != "peer" || !bytes.Equal(resp.Body, want) {
+		t.Fatalf("source=%q body=%s, want a peer fill of %s", resp.Source, resp.Body, want)
+	}
+	syncStore(t, store)
+	body, cost, ok := store.Get(req.Key)
+	if !ok || !bytes.Equal(body, want) || cost != 123 {
+		t.Errorf("worker store after peer fill: ok=%v cost=%d body=%s, want the body with cost 123", ok, cost, body)
+	}
+}
+
+// TestCellReadPromotesDiskHits: both cell-read endpoints promote a
+// disk-only cell into their memory tier with its original cost, so the
+// next peer read does not re-read and re-CRC the frame.
+func TestCellReadPromotesDiskHits(t *testing.T) {
+	cases := []struct {
+		name  string
+		mount func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store)
+	}{
+		{"worker", func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store) {
+			NewWorker(WorkerConfig{Cache: cache, Store: store}).RegisterHandlers(mux)
+		}},
+		{"coordinator", func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store) {
+			NewCoordinator(Config{Cache: cache, Store: store}).RegisterHandlers(mux)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const key, cost = "disk-only-cell", 456
+			want := []byte(`{"cell":"on disk"}`)
+			cache, store := resultcache.New(1<<20), openStore(t)
+			store.Put(key, want, cost)
+			syncStore(t, store)
+			mux := http.NewServeMux()
+			tc.mount(mux, cache, store)
+			ts := httptest.NewServer(mux)
+			t.Cleanup(ts.Close)
+
+			resp, err := http.Get(ts.URL + PathCells + key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("GET cell: %d %s", resp.StatusCode, body)
+			}
+			if got, c, ok := cache.GetCost(key); !ok || !bytes.Equal(got, want) || c != cost {
+				t.Errorf("memory tier after read: ok=%v cost=%d, want the cell with cost %d", ok, c, cost)
+			}
+		})
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,6 +85,7 @@ type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 	auth   *authenticator
+	tiers  resultcache.Tiers
 
 	// Stats holds the worker counters; read directly by /metrics.
 	Stats WorkerMetrics
@@ -116,6 +115,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg:    cfg,
 		client: client,
 		auth:   newAuthenticator(cfg.Token),
+		tiers:  resultcache.Tiers{Mem: cfg.Cache, Disk: cfg.Store},
 		ctx:    ctx,
 		cancel: cancel,
 	}
@@ -284,33 +284,35 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	resp := ExecuteResponse{APIVersion: api.Version, CellID: cell.ID, Key: key, Worker: advertise, Engine: cell.Engine}
 
-	if w.cfg.Cache != nil {
-		if body, ok := w.cfg.Cache.Get(key); ok {
-			w.Stats.CacheHits.Inc()
-			resp.Source, resp.Body = "cache", body
-			writeFleetJSON(rw, http.StatusOK, resp)
-			return
-		}
-	}
-	if w.cfg.Store != nil {
-		if body, costNs, ok := w.cfg.Store.Get(key); ok {
-			w.Stats.DiskHits.Inc()
-			if w.cfg.Cache != nil {
-				w.cfg.Cache.PutCost(key, body, costNs)
-			}
-			resp.Source, resp.Body, resp.ExecNs = "disk", body, costNs
-			writeFleetJSON(rw, http.StatusOK, resp)
-			return
-		}
-	}
-	if body, costNs, ok := w.peerFetch(r.Context(), key, r.Header.Get(api.RequestIDHeader)); ok {
-		w.Stats.PeerFills.Inc()
-		if w.cfg.Cache != nil {
-			w.cfg.Cache.PutCost(key, body, costNs)
-		}
-		resp.Source, resp.Body, resp.ExecNs = "peer", body, costNs
+	switch body, costNs, tier := w.tiers.Get(key); tier {
+	case resultcache.TierMem:
+		w.Stats.CacheHits.Inc()
+		resp.Source, resp.Body, resp.ExecNs = "cache", body, costNs
 		writeFleetJSON(rw, http.StatusOK, resp)
 		return
+	case resultcache.TierDisk:
+		w.Stats.DiskHits.Inc()
+		resp.Source, resp.Body, resp.ExecNs = "disk", body, costNs
+		writeFleetJSON(rw, http.StatusOK, resp)
+		return
+	}
+	// Peer fill: ask the coordinator's tiers (which relay to the other
+	// workers'). The X-Fleet-Peer header names this worker so the relay
+	// skips it, and the request id rides along so the whole fan-out
+	// correlates.
+	if w.cfg.Coordinator != "" {
+		hdr := http.Header{}
+		hdr.Set(peerHeader, advertise)
+		if rid := r.Header.Get(api.RequestIDHeader); rid != "" {
+			hdr.Set(api.RequestIDHeader, rid)
+		}
+		if body, costNs, ok := fetchCell(r.Context(), w.client, w.auth, w.cfg.Coordinator, key, hdr); ok {
+			w.Stats.PeerFills.Inc()
+			w.tiers.Put(key, body, costNs)
+			resp.Source, resp.Body, resp.ExecNs = "peer", body, costNs
+			writeFleetJSON(rw, http.StatusOK, resp)
+			return
+		}
 	}
 
 	start := time.Now()
@@ -336,12 +338,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	// Cache locally in both tiers: the worker's future dispatches (and
 	// the rest of the fleet, via the cell-read endpoint) reuse the work
 	// even if the coordinator's copy is evicted.
-	if w.cfg.Cache != nil {
-		w.cfg.Cache.PutCost(key, body, elapsed)
-	}
-	if w.cfg.Store != nil {
-		w.cfg.Store.Put(key, body, elapsed)
-	}
+	w.tiers.Put(key, body, elapsed)
 	resp.Source, resp.Body, resp.ExecNs = "executed", body, elapsed
 	writeFleetJSON(rw, http.StatusOK, resp)
 }
@@ -357,57 +354,10 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		writeAuthError(rw, err)
 		return
 	}
-	key := r.PathValue("key")
-	if w.cfg.Cache != nil {
-		if body, costNs, ok := w.cfg.Cache.GetCost(key); ok {
-			w.Stats.CellServes.Inc()
-			serveCell(rw, body, costNs)
-			return
-		}
-	}
-	if w.cfg.Store != nil {
-		if body, costNs, ok := w.cfg.Store.Get(key); ok {
-			w.Stats.CellServes.Inc()
-			serveCell(rw, body, costNs)
-			return
-		}
+	if body, costNs, tier := w.tiers.Get(r.PathValue("key")); tier != resultcache.TierNone {
+		w.Stats.CellServes.Inc()
+		serveCell(rw, body, costNs)
+		return
 	}
 	writeFleetError(rw, http.StatusNotFound, "not_found", "", "cell not in this worker's tiers")
-}
-
-// peerFetch asks the coordinator's cache tiers for a cell body before
-// paying to execute it — the fleet-wide read path that makes N daemons
-// one logical cache. The X-Fleet-Peer header names this worker so the
-// coordinator's relay skips it, and the request id rides along so the
-// whole fan-out correlates.
-func (w *Worker) peerFetch(ctx context.Context, key, requestID string) ([]byte, uint64, bool) {
-	if w.cfg.Coordinator == "" {
-		return nil, 0, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+PathCells+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, 0, false
-	}
-	w.mu.Lock()
-	req.Header.Set(peerHeader, w.advertise)
-	w.mu.Unlock()
-	if requestID != "" {
-		req.Header.Set(api.RequestIDHeader, requestID)
-	}
-	w.auth.sign(req, nil)
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, 0, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil || len(body) == 0 || !json.Valid(body) {
-		return nil, 0, false
-	}
-	costNs, _ := strconv.ParseUint(resp.Header.Get(execCostHeader), 10, 64)
-	return body, costNs, true
 }

@@ -10,6 +10,10 @@
 // folded into the address so a semantics-changing build (see
 // internal/version) can never serve a stale body; no explicit
 // invalidation pass is needed.
+//
+// Tiers chains a Cache over the persistent store (internal/diskstore);
+// every serving path, in the service and across the fleet, looks results
+// up and files them through it.
 package resultcache
 
 import (
@@ -49,8 +53,8 @@ type Stats struct {
 	Evictions uint64
 	// CostNs is the total production cost (engine exec nanoseconds) of the
 	// resident entries — the bytes-per-simulated-second currency this tier
-	// shares with the disk tier (internal/diskstore). Entries stored via
-	// the zero-cost Put contribute nothing.
+	// shares with the disk tier (internal/diskstore). Entries stored with
+	// zero cost contribute nothing.
 	CostNs uint64
 }
 
@@ -78,7 +82,7 @@ type entry struct {
 
 // New builds a cache holding at most budget bytes of values (keys and
 // bookkeeping are not counted). A non-positive budget disables storage:
-// every Get misses and Put is a no-op, which keeps the serving path
+// every GetCost misses and PutCost is a no-op, which keeps the serving path
 // uniform for cacheless deployments.
 func New(budget int64) *Cache {
 	return &Cache{
@@ -88,19 +92,13 @@ func New(budget int64) *Cache {
 	}
 }
 
-// Get returns the value stored under key, marking it most recently used.
-// The returned slice is shared and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	val, _, ok := c.GetCost(key)
-	return val, ok
-}
-
-// GetCost is Get plus the entry's recorded production cost (engine exec
-// nanoseconds; zero for entries stored via the legacy Put). The cost is
-// the eviction currency shared with the disk tier, so a path that copies
-// an entry into another tier — peer cache fill, disk promotion — should
-// use GetCost and carry the value along rather than re-file the bytes as
-// free.
+// GetCost returns the value stored under key, marking it most recently
+// used, together with the entry's recorded production cost (engine exec
+// nanoseconds). The returned slice is shared and must not be modified.
+// The cost is the eviction currency shared with the disk tier, so a path
+// that copies an entry into another tier — peer cache fill, disk
+// promotion — carries the value along rather than re-filing the bytes as
+// free (Tiers does this for every serving path).
 func (c *Cache) GetCost(key string) ([]byte, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,24 +113,18 @@ func (c *Cache) GetCost(key string) ([]byte, uint64, bool) {
 	return e.val, e.costNs, true
 }
 
-// Put stores val under key with zero cost metadata, evicting
-// least-recently-used entries until the byte budget holds. It is the
-// byte-compatible legacy path: behavior is identical to the pre-cost
-// cache. A value larger than the whole budget is not stored. Re-putting
-// an existing key refreshes its recency but keeps the original bytes:
-// results are content-addressed, so a second body for the same key is
-// byte-identical by construction and there is nothing to replace.
-func (c *Cache) Put(key string, val []byte) { c.PutCost(key, val, 0) }
-
 // PutCost stores val under key together with the engine time (in
 // nanoseconds) it cost to produce — the eviction currency shared with the
-// disk tier. This tier still evicts by recency; the cost rides along so
-// Stats can report the simulated-seconds held resident and so a write-
-// behind or promotion into the disk tier carries the entry's value with
-// it. Re-putting an existing key keeps its bytes and recency semantics
-// (see Put) but adopts the cost if none was recorded yet, so a zero-cost
-// legacy Put followed by a costed one does not pin the entry at zero
-// value forever.
+// disk tier — evicting least-recently-used entries until the byte budget
+// holds. This tier evicts by recency; the cost rides along so Stats can
+// report the simulated-seconds held resident and so a promotion into
+// another tier carries the entry's value with it. A value larger than
+// the whole budget is not stored. Re-putting an existing key refreshes
+// its recency but keeps the original bytes: results are content-
+// addressed, so a second body for the same key is byte-identical by
+// construction and there is nothing to replace. It does adopt the cost
+// if none was recorded yet, so a zero-cost put followed by a costed one
+// does not pin the entry at zero value forever.
 func (c *Cache) PutCost(key string, val []byte, costNs uint64) {
 	if c.budget <= 0 || int64(len(val)) > c.budget {
 		return

@@ -28,13 +28,13 @@ func TestKeyFraming(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := New(1 << 20)
-	if _, ok := c.Get("k"); ok {
+	if _, _, ok := c.GetCost("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("k", []byte("body"))
-	got, ok := c.Get("k")
+	c.PutCost("k", []byte("body"), 0)
+	got, _, ok := c.GetCost("k")
 	if !ok || !bytes.Equal(got, []byte("body")) {
-		t.Fatalf("Get = %q, %v", got, ok)
+		t.Fatalf("GetCost = %q, %v", got, ok)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 4 {
@@ -44,15 +44,15 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := New(10)
-	c.Put("a", []byte("aaaa")) // 4
-	c.Put("b", []byte("bbbb")) // 8
-	c.Get("a")                 // a now most recent
-	c.Put("c", []byte("cccc")) // 12 > 10: evict b (LRU), not a
-	if _, ok := c.Get("b"); ok {
+	c.PutCost("a", []byte("aaaa"), 0) // 4
+	c.PutCost("b", []byte("bbbb"), 0) // 8
+	c.GetCost("a")                    // a now most recent
+	c.PutCost("c", []byte("cccc"), 0) // 12 > 10: evict b (LRU), not a
+	if _, _, ok := c.GetCost("b"); ok {
 		t.Error("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, _, ok := c.GetCost(k); !ok {
 			t.Errorf("%s should have survived", k)
 		}
 	}
@@ -64,22 +64,22 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheOversizedAndZeroBudget(t *testing.T) {
 	c := New(4)
-	c.Put("big", []byte("12345")) // larger than the whole budget
-	if _, ok := c.Get("big"); ok {
+	c.PutCost("big", []byte("12345"), 0) // larger than the whole budget
+	if _, _, ok := c.GetCost("big"); ok {
 		t.Error("oversized value was stored")
 	}
 	z := New(0)
-	z.Put("k", []byte("v"))
-	if _, ok := z.Get("k"); ok {
+	z.PutCost("k", []byte("v"), 0)
+	if _, _, ok := z.GetCost("k"); ok {
 		t.Error("zero-budget cache stored a value")
 	}
 }
 
 func TestCacheRePutKeepsOriginal(t *testing.T) {
 	c := New(100)
-	c.Put("k", []byte("first"))
-	c.Put("k", []byte("XXXXX"))
-	got, _ := c.Get("k")
+	c.PutCost("k", []byte("first"), 0)
+	c.PutCost("k", []byte("XXXXX"), 0)
+	got, _, _ := c.GetCost("k")
 	if !bytes.Equal(got, []byte("first")) {
 		t.Errorf("re-put replaced content-addressed bytes: %q", got)
 	}
@@ -89,7 +89,7 @@ func TestCacheRePutKeepsOriginal(t *testing.T) {
 }
 
 // TestCachePutBudgetDiscipline is a table-driven regression test for two
-// budget-accounting hazards on the Put path:
+// budget-accounting hazards on the PutCost path:
 //
 //   - A value larger than the whole budget must be rejected up front — a
 //     naive "evict until it fits" loop would evict every resident entry
@@ -111,9 +111,9 @@ func TestCachePutBudgetDiscipline(t *testing.T) {
 		{
 			name: "oversized put is a no-op, residents survive",
 			ops: func(c *Cache) {
-				c.Put("a", []byte("aaaa"))
-				c.Put("b", []byte("bbbb"))
-				c.Put("huge", bytes.Repeat([]byte("x"), 11)) // > whole budget
+				c.PutCost("a", []byte("aaaa"), 0)
+				c.PutCost("b", []byte("bbbb"), 0)
+				c.PutCost("huge", bytes.Repeat([]byte("x"), 11), 0) // > whole budget
 			},
 			wantEntries:   2,
 			wantBytes:     8,
@@ -123,8 +123,8 @@ func TestCachePutBudgetDiscipline(t *testing.T) {
 		{
 			name: "exactly-budget value stores after evicting all",
 			ops: func(c *Cache) {
-				c.Put("a", []byte("aaaa"))
-				c.Put("full", bytes.Repeat([]byte("y"), 10)) // == budget: legal
+				c.PutCost("a", []byte("aaaa"), 0)
+				c.PutCost("full", bytes.Repeat([]byte("y"), 10), 0) // == budget: legal
 			},
 			wantEntries:   1,
 			wantBytes:     10,
@@ -134,12 +134,12 @@ func TestCachePutBudgetDiscipline(t *testing.T) {
 		{
 			name: "re-put does not double-count used bytes",
 			ops: func(c *Cache) {
-				c.Put("k", []byte("12345"))
+				c.PutCost("k", []byte("12345"), 0)
 				for i := 0; i < 10; i++ {
-					c.Put("k", []byte("12345"))
+					c.PutCost("k", []byte("12345"), 0)
 				}
 				// 5 bytes of room must genuinely remain.
-				c.Put("m", []byte("abcde"))
+				c.PutCost("m", []byte("abcde"), 0)
 			},
 			wantEntries:   2,
 			wantBytes:     10,
@@ -158,7 +158,7 @@ func TestCachePutBudgetDiscipline(t *testing.T) {
 					tc.wantEntries, tc.wantBytes, tc.wantEvictions)
 			}
 			for _, k := range tc.wantKeys {
-				if _, ok := c.Get(k); !ok {
+				if _, _, ok := c.GetCost(k); !ok {
 					t.Errorf("key %q missing", k)
 				}
 			}
@@ -176,8 +176,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("key-%d", i%17)
-				c.Put(k, []byte(k))
-				if v, ok := c.Get(k); ok && !bytes.Equal(v, []byte(k)) {
+				c.PutCost(k, []byte(k), 0)
+				if v, _, ok := c.GetCost(k); ok && !bytes.Equal(v, []byte(k)) {
 					t.Errorf("corrupt value %q for %q", v, k)
 				}
 				c.Stats()
@@ -189,7 +189,7 @@ func TestCacheConcurrent(t *testing.T) {
 
 // TestPutCostAccounting pins the shared eviction-currency bookkeeping:
 // resident CostNs tracks inserts, evictions, and the adopt-on-repeat rule,
-// while the zero-cost Put path stays byte-compatible (cost stays zero).
+// while a zero-cost put contributes nothing (cost stays zero).
 func TestPutCostAccounting(t *testing.T) {
 	c := New(100)
 	c.PutCost("a", make([]byte, 40), 5_000)
@@ -209,9 +209,9 @@ func TestPutCostAccounting(t *testing.T) {
 		t.Errorf("re-put changed cost: CostNs = %d, want 8000", st.CostNs)
 	}
 	// ...unless none was recorded, in which case the cost is adopted.
-	c.Put("zero", make([]byte, 10))
+	c.PutCost("zero", make([]byte, 10), 0)
 	if st := c.Stats(); st.CostNs != 8_000 {
-		t.Errorf("zero-cost Put contributed cost: %d", st.CostNs)
+		t.Errorf("zero-cost PutCost contributed cost: %d", st.CostNs)
 	}
 	c.PutCost("zero", make([]byte, 10), 500)
 	if st := c.Stats(); st.CostNs != 8_500 {

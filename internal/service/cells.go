@@ -200,23 +200,20 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 	err = parallel.ForEach(ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
 		cell := &plan.Cells[i]
 		key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-		if body, ok := s.cellCache.Get(key); ok {
-			s.metrics.cells.Hits.Inc()
-			partials[i] = body
-			j.cells.recordCell(j.id, cell.ID, i, "hit", cell.Engine, "", "")
-			return nil
-		}
-		// Disk tier: a cell some earlier process (or an evicted cache
-		// generation) already simulated. Promote it so siblings in this
-		// grid — and the next campaign — hit memory.
-		if s.store != nil {
-			if body, costNs, ok := s.store.Get(key); ok {
+		// A disk hit is a cell some earlier process (or an evicted cache
+		// generation) already simulated; Get promotes it so siblings in
+		// this grid — and the next campaign — hit memory.
+		if body, _, tier := s.cells.Get(key); tier != resultcache.TierNone {
+			source := "hit"
+			if tier == resultcache.TierDisk {
+				source = "disk"
 				s.metrics.cells.DiskHits.Inc()
-				s.cellCache.PutCost(key, body, costNs)
-				partials[i] = body
-				j.cells.recordCell(j.id, cell.ID, i, "disk", cell.Engine, "", "")
-				return nil
+			} else {
+				s.metrics.cells.Hits.Inc()
 			}
+			partials[i] = body
+			j.cells.recordCell(j.id, cell.ID, i, source, cell.Engine, "", "")
+			return nil
 		}
 		s.metrics.cells.Misses.Inc()
 		start := time.Now()
@@ -284,10 +281,7 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		if costNs == 0 {
 			costNs = uint64(elapsed)
 		}
-		s.cellCache.PutCost(key, body, costNs)
-		if s.store != nil {
-			s.store.Put(key, body, costNs)
-		}
+		s.cells.Put(key, body, costNs)
 		partials[i] = body
 		j.cells.recordCell(j.id, cell.ID, i, "miss", cell.Engine, workerURL, placement)
 		return nil

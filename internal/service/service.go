@@ -336,27 +336,25 @@ type jobView struct {
 	Workers     map[string]int `json:"workers,omitempty"`
 	// BudgetExhausted reports that the campaign spent its entire fleet
 	// re-dispatch budget (-hedge-budget); later cells ran locally.
-	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
-	ResultURL   string         `json:"result_url,omitempty"`
-	EventsURL   string         `json:"events_url,omitempty"`
+	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
+	ResultURL       string `json:"result_url,omitempty"`
+	EventsURL       string `json:"events_url,omitempty"`
 }
 
 // Server is the affinityd serving core, independent of any listener so
 // tests can drive it through httptest or a real socket alike.
 type Server struct {
 	cfg     Config
-	cache   *resultcache.Cache
 	metrics *metrics
 	mux     *http.ServeMux
 	// useCells selects the cell execution path; false when a custom
 	// Runner makes the campaign opaque to the server.
 	useCells bool
-	// cellCache holds per-cell partial results, keyed by cell content
-	// address.
-	cellCache *resultcache.Cache
-	// store is the disk tier under both caches; nil when persistence is
-	// disabled.
-	store *diskstore.Store
+	// bodies and cells are the campaign-body and per-cell tier chains.
+	// Their memory tiers are separate; both sit on the same disk tier
+	// (cfg.Store, nil when persistence is disabled).
+	bodies resultcache.Tiers
+	cells  resultcache.Tiers
 	// fleet is the coordinator-mode dispatcher; nil when this daemon
 	// executes every cell itself.
 	fleet *fleet.Coordinator
@@ -392,10 +390,9 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
-		cache:       resultcache.New(cfg.CacheBytes),
+		bodies:      resultcache.Tiers{Mem: resultcache.New(cfg.CacheBytes), Disk: cfg.Store},
 		useCells:    useCells,
-		cellCache:   cellCache,
-		store:       cfg.Store,
+		cells:       resultcache.Tiers{Mem: cellCache, Disk: cfg.Store},
 		fleet:       cfg.Fleet,
 		fleetWorker: cfg.FleetWorker,
 		queue:       make(chan *job, cfg.QueueDepth),
@@ -444,10 +441,10 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Cache exposes the result cache (the smoke gate reads its counters).
-func (s *Server) Cache() *resultcache.Cache { return s.cache }
+func (s *Server) Cache() *resultcache.Cache { return s.bodies.Mem }
 
 // CellCache exposes the per-cell result cache.
-func (s *Server) CellCache() *resultcache.Cache { return s.cellCache }
+func (s *Server) CellCache() *resultcache.Cache { return s.cells.Mem }
 
 // campaignRequest is the POST /v1/campaigns body.
 type campaignRequest struct {
@@ -503,26 +500,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.submitted.Add(1)
 
-	// Memoized result: serve the stored bytes verbatim.
+	// Memoized result: serve the stored bytes verbatim. A disk hit is
+	// CRC-verified bytes an earlier process paid for, promoted into the
+	// memory tier — indistinguishable from a fresh run.
 	lookupStart := time.Now()
-	body, hit := s.cache.Get(key)
-	span(&s.metrics.spanCacheLookup, time.Since(lookupStart))
-	if hit {
+	body, _, tier := s.bodies.Get(key)
+	lookup := time.Since(lookupStart)
+	span(&s.metrics.spanCacheLookup, lookup)
+	if tier != resultcache.TierMem && s.bodies.Disk != nil {
+		span(&s.metrics.spanStoreLookup, lookup)
+	}
+	switch tier {
+	case resultcache.TierMem:
 		writeBody(w, body, "hit", key)
 		return
-	}
-	// Second tier: the persistent store. A hit is CRC-verified bytes an
-	// earlier process paid for; promote it into the LRU tier (with its
-	// cost metadata) and serve it — indistinguishable from a fresh run.
-	if s.store != nil {
-		storeStart := time.Now()
-		diskBody, costNs, ok := s.store.Get(key)
-		span(&s.metrics.spanStoreLookup, time.Since(storeStart))
-		if ok {
-			s.cache.PutCost(key, diskBody, costNs)
-			writeBody(w, diskBody, "disk", key)
-			return
-		}
+	case resultcache.TierDisk:
+		writeBody(w, body, "disk", key)
+		return
 	}
 
 	admitStart := time.Now()
@@ -802,10 +796,7 @@ func (s *Server) worker() {
 			// memory tier's Stats and the disk tier's bytes-per-simulated-
 			// second eviction weigh the body by what it took to build. The
 			// store Put is write-behind and never blocks this worker.
-			s.cache.PutCost(j.key, body, uint64(elapsed))
-			if s.store != nil {
-				s.store.Put(j.key, body, uint64(elapsed))
-			}
+			s.bodies.Put(j.key, body, uint64(elapsed))
 			s.metrics.observe(j.kind, elapsed)
 			s.metrics.foldSim(j.stats)
 			s.finish(j, statusDone, body, "")
@@ -1205,10 +1196,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // syncStore flushes the persistent tier's write-behind queue, bounded by
 // ctx. A nil store (persistence disabled) is a no-op.
 func (s *Server) syncStore(ctx context.Context) error {
-	if s.store == nil {
+	if s.cfg.Store == nil {
 		return nil
 	}
-	return s.store.Sync(ctx)
+	return s.cfg.Store.Sync(ctx)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
