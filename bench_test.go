@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,12 +38,15 @@ func benchOptions() experiments.Options {
 // BenchmarkCharacterize regenerates Figures 2-4: the applications'
 // parallelism profiles, elapsed times and average demands in isolation.
 func BenchmarkCharacterize(b *testing.B) {
+	camp, _ := experiments.CampaignByKind("characterize")
 	for i := 0; i < b.N; i++ {
-		chars, err := experiments.Characterize(benchOptions())
+		// Characterization reads only the machine, app scale and seed, whose
+		// defaults are benchOptions' too.
+		res, err := camp.Run(context.Background(), experiments.CampaignParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range chars {
+		for _, c := range res.(experiments.CharacterizeCampaignResult).Apps {
 			switch c.Name {
 			case "MVA":
 				b.ReportMetric(c.AvgDemand, "MVA-avg-demand")

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -213,10 +215,11 @@ func (c *cli) trace() error {
 
 // extras runs the beyond-the-paper exhibits.
 func (c *cli) extras() error {
-	rw, err := experiments.RelatedWork(c.opts)
+	res, err := c.campaign("relatedwork")
 	if err != nil {
 		return err
 	}
+	rw := res.(experiments.RelatedWorkCampaignResult).Result
 	if err := c.emit(experiments.RelatedWorkTable(rw)); err != nil {
 		return err
 	}
@@ -261,11 +264,27 @@ func (c *cli) emit(t report.Table) error {
 	return nil
 }
 
+// campaign runs a registered campaign kind with the parsed options; with
+// -stats its simulation counters join the invocation's totals.
+func (c *cli) campaign(kind string) (any, error) {
+	camp, _ := experiments.CampaignByKind(kind)
+	return camp.Run(obs.WithCollector(context.Background(), c.opts.Stats), experiments.CampaignParams{
+		Procs:        c.opts.Machine.Processors,
+		Replications: c.opts.Replications,
+		BudgetSec:    c.opts.MeasureBudget.SecondsF(),
+		AppScale:     c.opts.AppScale,
+		Seed:         c.opts.Seed,
+		Workers:      c.opts.Workers,
+		Engine:       c.opts.Engine,
+	})
+}
+
 func (c *cli) characterize() error {
-	chars, err := experiments.Characterize(c.opts)
+	res, err := c.campaign("characterize")
 	if err != nil {
 		return err
 	}
+	chars := res.(experiments.CharacterizeCampaignResult).Apps
 	if err := c.emit(experiments.CharacterTable(chars)); err != nil {
 		return err
 	}

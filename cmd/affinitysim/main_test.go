@@ -35,6 +35,8 @@ func TestSubcommandsFast(t *testing.T) {
 	}
 	cases := [][]string{
 		{"characterize", "-fast"},
+		{"characterize", "-fast", "-stats"},
+		{"extras", "-fast", "-reps", "1"},
 		{"measure", "-fast", "-budget", "3"},
 		{"compare", "-fast", "-reps", "1", "-mix", "5", "-timeshare"},
 		{"future", "-fast", "-reps", "1", "-mix", "5", "-maxproduct", "64"},

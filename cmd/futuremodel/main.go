@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -72,7 +74,8 @@ func main() {
 	}
 }
 
-// runSimulated re-runs mix #5 on directly scaled machines and prints the
+// runSimulated re-runs mix #5 on directly scaled machines (the futuresim
+// campaign, with the same options as the model half) and prints the
 // simulated relative response times next to the analytic model's.
 func runSimulated(opts experiments.Options) error {
 	mix, err := workload.MixByNumber(5)
@@ -81,10 +84,22 @@ func runSimulated(opts experiments.Options) error {
 	}
 	policies := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
 	products := []float64{1, 16, 64, 256, 1024}
-	pts, err := experiments.FutureSimulated(opts, mix, policies, products)
+	camp, _ := experiments.CampaignByKind("futuresim")
+	res, err := camp.Run(obs.WithCollector(context.Background(), opts.Stats), experiments.CampaignParams{
+		Procs:        opts.Machine.Processors,
+		Replications: opts.Replications,
+		AppScale:     opts.AppScale,
+		Seed:         opts.Seed,
+		Workers:      opts.Workers,
+		Engine:       opts.Engine,
+		Mix:          mix.Number,
+		Policies:     policies,
+		Products:     products,
+	})
 	if err != nil {
 		return err
 	}
+	pts := res.(experiments.FutureSimCampaignResult).Points
 	// Model predictions for the same products.
 	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix},
 		append([]string{"Equipartition"}, policies...))

@@ -12,12 +12,14 @@ import (
 )
 
 // goldenCampaigns pins the SHA-256 of the canonical result body of fast
-// campaigns covering the simulator (bus, footprint model, scheduler), the
-// future-machine pipeline and the exact-cache Table 1 path. The hashes were
-// recorded before the bus and footprint hot paths were rewritten; a
-// speedup must keep them, so any change in results — however small — fails
-// here rather than being absorbed by a test that compares two runs of the
-// same code.
+// campaigns covering every registered kind: the simulator (bus, footprint
+// model, scheduler), the future-machine pipeline, the exact-cache Table 1
+// path, the isolated characterization and the Section 8 contrast. The
+// first five hashes were recorded before the bus and footprint hot paths
+// were rewritten, the characterize and relatedwork ones before
+// Campaign.Run moved onto the cell plan; a refactor or speedup must keep
+// them, so any change in results — however small — fails here rather
+// than being absorbed by a test that compares two runs of the same code.
 var goldenCampaigns = []struct {
 	name   string
 	kind   string
@@ -40,6 +42,12 @@ var goldenCampaigns = []struct {
 	{"table1-seed5", "table1",
 		experiments.CampaignParams{Fast: true, Seed: 5},
 		"14ecc16a86b670fedef3206de6747600b38b35f323711f1566c04ae3ffe6d9e9"},
+	{"characterize-seed6", "characterize",
+		experiments.CampaignParams{Fast: true, Seed: 6},
+		"f9ed0645e3708a6f1a012acf39cf3be45ddb4f760fd0d960e65c449c069ead61"},
+	{"relatedwork-seed6", "relatedwork",
+		experiments.CampaignParams{Fast: true, Seed: 6},
+		"08d61a29c762ac82e91c957d9351a496914699aa6f237cda98b18b15adecf775"},
 }
 
 // TestGoldenResultBytes checks the canonical body hashes. It runs only on

@@ -19,21 +19,23 @@ import (
 
 // This file decomposes every registered campaign into cells: the
 // independently executable, independently cacheable units of its grid.
-// Each cell's bytes depend only on the parameters captured in its key
-// material — never on the rest of the grid — so overlapping campaigns
-// (a superset policy list, a second kind sharing a sub-grid) address the
-// same cache entries, and a merge over any mix of fresh and cached
-// partials is byte-identical to the monolithic Campaign.Run.
+// Cells → execute → Merge is the only way a campaign runs: Campaign.Run
+// executes every cell in process, and affinityd executes only the cells
+// its tiered cell cache misses. Each cell's bytes depend only on the
+// parameters captured in its key material — never on the rest of the
+// grid — so overlapping campaigns (a superset policy list, a second kind
+// sharing a sub-grid) address the same cache entries, and a merge over
+// any mix of fresh and cached partials is byte-identical to Campaign.Run.
 //
 // The invariants every per-kind builder maintains:
 //
-//  1. Cell order matches the monolithic driver's grid order, so the
-//     merge can reassemble by index.
+//  1. Cells are listed in the kind's grid order, so the merge can
+//     reassemble by index.
 //  2. Partials carry enough raw precision for the merge to perform each
 //     lossy conversion (simtime.Duration -> float microseconds, ratio
-//     against a baseline) exactly once, in the same place the monolithic
-//     path performs it. Replication means are folded in replication
-//     order inside the cell, exactly as the monolithic accumulators do.
+//     against a baseline) exactly once. Replication means are folded in
+//     replication order inside the cell, exactly as the whole-grid
+//     drivers (ComparePolicies, Table1) accumulate them.
 //  3. Key params exclude Workers (results are bitwise identical at every
 //     worker count) and exclude the grid lists themselves (a cell's
 //     identity is its own coordinates, so supersets reuse subsets).
@@ -67,7 +69,7 @@ type Cell struct {
 func (c *Cell) Run(ctx context.Context) (any, error) { return c.run(ctx) }
 
 // CellPlan is a campaign split into cells plus the deterministic merge
-// that reassembles the monolithic wire result.
+// that reassembles the campaign's wire result.
 type CellPlan struct {
 	Kind string
 	// Params is the campaign's normalized parameterization.
@@ -149,6 +151,9 @@ type characterizeCellKey struct {
 	App      string `json:"app"`
 }
 
+// characterizeCellPlan runs each application alone on the experiment
+// machine and reports its parallelism characteristics (the paper's
+// Figures 2-4), one cell per application in characterizeApps order.
 func characterizeCellPlan(np CampaignParams) (*CellPlan, error) {
 	opts, err := np.options()
 	if err != nil {
@@ -211,8 +216,7 @@ type table1CellKey struct {
 
 // table1CellPartial carries one cell's penalties as raw simtime ticks,
 // not float microseconds: Duration -> Micros() is a lossy float
-// division, so the merge performs it exactly once, in the same place the
-// monolithic path does.
+// division, so the merge performs it exactly once.
 type table1CellPartial struct {
 	PNARaw int64            `json:"pna_raw"`
 	PARaw  map[string]int64 `json:"pa_raw"`
@@ -223,8 +227,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 		return nil, err
 	}
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
-	// BuildTable1Ctx layout) already matches the sorted iteration of the
-	// monolithic wire encoding.
+	// BuildTable1Ctx layout) already lists QsMs in ascending order.
 	qs := measure.DefaultQs()
 	names := patternNames()
 	plan := &CellPlan{Kind: "table1", Params: np}
@@ -451,7 +454,7 @@ func compareCellList(np CampaignParams, mixNumbers []int, policies []string) ([]
 
 // compareMergeRows rebuilds the compare wire rows from per-cell partials
 // laid out policy-minor: parts[mi*len(policies)+pi]. RelRT is derived
-// here, from the same float values the monolithic path divides.
+// here, once per row, from the cells' replication-averaged means.
 func compareMergeRows(mixNumbers []int, policies []string, parts []compareCellPartial) CompareCampaignResult {
 	out := CompareCampaignResult{Policies: append([]string(nil), policies...)}
 	hasBaseline := false
@@ -464,8 +467,8 @@ func compareMergeRows(mixNumbers []int, policies []string, parts []compareCellPa
 		out.Mixes = append(out.Mixes, mixNum)
 		var base compareCellPartial
 		if hasBaseline {
-			// Matches the monolithic map lookup: with duplicate baseline
-			// entries all partials are identical, so any one serves.
+			// With duplicate baseline entries all partials are identical,
+			// so any one serves.
 			for pi, pol := range policies {
 				if pol == "Equipartition" {
 					base = parts[mi*len(policies)+pi]
@@ -541,7 +544,7 @@ func compareCellPlan(np CampaignParams) (*CellPlan, error) {
 // policy list) seeds its cache entries. The merge reconstructs the
 // CompareResult and measure.Table1 that the Section-7.3 parameter
 // extraction reads, then runs the analytic sweep — pure float math on
-// exactly the values the monolithic path feeds it.
+// the cells' values.
 func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 	opts, err := np.options()
 	if err != nil {
@@ -634,12 +637,21 @@ type futureSimCellKey struct {
 }
 
 // futureSimCellPartial is one point's replication-mean response time;
-// the merge divides policy means by the Equipartition mean, exactly as
-// the monolithic path does.
+// the merge divides policy means by the Equipartition mean.
 type futureSimCellPartial struct {
 	MeanRTSec float64 `json:"mean_rt_sec"`
 }
 
+// futureSimCellPlan re-runs the scheduling simulation on scaled machines
+// (speed = cache = √product, the Figure 8-13 axis) — a validation the
+// paper could not perform, since its future machines did not exist. The
+// paper's analytic model assumes future applications grow into their
+// caches (its P^NA × √cache term); the simulated applications keep 1991
+// footprints, so the simulation brackets the model from the optimistic
+// side: its relative response times should rise no faster than the
+// model's. Replication seeds are shared across products and policies —
+// parallel.CellSeed of the replication alone — so every point of every
+// curve observes the same workload draws.
 func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 	if _, err := np.options(); err != nil {
 		return nil, err
@@ -648,8 +660,7 @@ func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The baseline joins the policy axis as column zero, unconditionally —
-	// mirroring FutureSimulatedCtx.
+	// The baseline joins the policy axis as column zero, unconditionally.
 	cols := append([]string{"Equipartition"}, np.Policies...)
 	plan := &CellPlan{Kind: "futuresim", Params: np}
 	for _, prod := range np.Products {
@@ -761,6 +772,12 @@ type relatedWorkCellPartial struct {
 	PctAffinity   float64 `json:"pct_affinity"`
 }
 
+// relatedWorkCellPlan runs workload mix #5 under four policies — time
+// sharing with and without affinity, and space sharing with and without
+// affinity — one cell per policy, and the merge measures how much
+// affinity helps in each domain. The paper's Section 8 explains why
+// time-sharing studies found affinity important while this paper did
+// not; this experiment demonstrates the mechanism directly.
 func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {
 	if _, err := np.options(); err != nil {
 		return nil, err

@@ -9,10 +9,13 @@ import (
 	"repro/internal/report"
 )
 
-// TestCellMergeMatchesMonolithic is the tentpole contract: for every
+// TestCellMergeMatchesMonolithic is the cell contract: for every
 // registered kind, splitting the campaign into cells, executing them in
 // reversed order (on 1 and on 8 workers), and merging the canonical-JSON
-// partials reproduces the monolithic Campaign.Run bytes exactly.
+// partials reproduces the bytes of Campaign.Run, which executes the same
+// plan in order. Partials therefore carry no positional state, and the
+// daemon — which executes cells in whatever order its cache misses and
+// workers dictate — serves Campaign.Run's bytes.
 func TestCellMergeMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
@@ -88,7 +91,7 @@ func TestCellMergeMatchesMonolithic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(monoJSON, mergedJSON) {
-					t.Errorf("workers=%d: merged bytes differ from monolithic\nmono:   %.200s\nmerged: %.200s",
+					t.Errorf("workers=%d: merged bytes differ from Campaign.Run\nrun:    %.200s\nmerged: %.200s",
 						workers, monoJSON, mergedJSON)
 				}
 			}

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -30,43 +27,6 @@ type AppCharacter struct {
 	ProfilePct []float64
 }
 
-// Characterize runs each application alone on the experiment machine and
-// reports its parallelism characteristics (the paper's Figures 2–4). It is
-// CharacterizeCtx without cancellation.
-func Characterize(opts Options) ([]AppCharacter, error) {
-	return CharacterizeCtx(context.Background(), opts)
-}
-
-// CharacterizeCtx is Characterize with cancellation, running the isolated
-// per-application simulations on opts.Workers workers. Each cell writes its
-// slot in the fixed application order, so output is identical for every
-// worker count.
-func CharacterizeCtx(ctx context.Context, opts Options) ([]AppCharacter, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	mixApps := characterizeApps(opts)
-	out := make([]AppCharacter, len(mixApps))
-	simStats := make([]obs.SimStats, len(mixApps))
-	err := parallel.ForEach(ctx, opts.Workers, len(mixApps), func(ctx context.Context, i int) error {
-		ch, st, err := characterizeApp(opts, mixApps[i])
-		if err != nil {
-			return err
-		}
-		out[i], simStats[i] = ch, st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		parallel.Fold(simStats, func(_ int, s obs.SimStats) {
-			opts.Stats.Add("Equipartition", s)
-		})
-	}
-	return out, nil
-}
-
 // characterizeApps returns the applications characterized in isolation:
 // the three single-application mixes instantiated at the configured
 // scale, in fixed order.
@@ -79,8 +39,7 @@ func characterizeApps(opts Options) []workload.App {
 }
 
 // characterizeApp simulates one application alone under Equipartition and
-// derives its Figures 2-4 character. Shared by the monolithic campaign
-// and the per-app cell path, so both produce identical values.
+// derives its Figures 2-4 character.
 func characterizeApp(opts Options, app workload.App) (AppCharacter, obs.SimStats, error) {
 	res, err := runSim(sched.Config{
 		Machine: opts.Machine,

@@ -78,8 +78,9 @@ func ComparePoliciesCtx(ctx context.Context, opts Options, mixes []workload.Mix,
 			return fmt.Errorf("experiments: unknown policy %q", polName)
 		}
 		// Resolve the engine tier from the cell's canonical coordinate —
-		// the same resolution the cell planner performs, so the monolithic
-		// and cell-sharded paths agree bit for bit under engine=auto.
+		// the same resolution the cell planner performs, so a whole-grid
+		// call and a single-coordinate compare cell agree bit for bit
+		// under engine=auto.
 		engine := resolveCellEngine(opts.engine(), compareCellCoord(
 			opts.Machine.Processors, R, opts.AppScale, opts.Seed, mix.Number, polName))
 		res, err := runCell(engine, sched.Config{

@@ -74,36 +74,57 @@ func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestFutureSimulatedDeterministicAcrossWorkers(t *testing.T) {
-	mix := workload.Mixes()[4]
-	run := func(workers int) []FutureSimPoint {
-		t.Helper()
-		o := determinismOpts()
-		o.Workers = workers
-		pts, err := FutureSimulatedCtx(context.Background(), o, mix,
-			[]string{"Dyn-Aff"}, []float64{1, 4})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return pts
+	run := func(workers int) FutureSimCampaignResult {
+		return campaignResult[FutureSimCampaignResult](t, context.Background(), "futuresim",
+			CampaignParams{Fast: true, Mix: 5, Policies: []string{"Dyn-Aff"}, Products: []float64{1, 4}, Workers: workers})
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
-		t.Fatal("FutureSimulated points differ between Workers=1 and Workers=8")
+		t.Fatal("futuresim points differ between Workers=1 and Workers=8")
 	}
 }
 
 func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []AppCharacter {
-		t.Helper()
-		o := determinismOpts()
-		o.Workers = workers
-		chars, err := CharacterizeCtx(context.Background(), o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return chars
+		return campaignResult[CharacterizeCampaignResult](t, context.Background(), "characterize",
+			CampaignParams{Fast: true, Workers: workers}).Apps
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
-		t.Fatal("Characterize results differ between Workers=1 and Workers=8")
+		t.Fatal("characterize results differ between Workers=1 and Workers=8")
+	}
+}
+
+// TestCampaignRunStatsDeterministicAcrossWorkers pins the same invariance
+// for stats collected through Campaign.Run: its cells run concurrently,
+// so each folds into a private collector and Run merges those into the
+// caller's in cell order. Letting cells add to the shared collector
+// directly would sum floats (InvalLines) in completion order.
+func TestCampaignRunStatsDeterministicAcrossWorkers(t *testing.T) {
+	cases := []struct {
+		kind string
+		p    CampaignParams
+	}{
+		{"compare", CampaignParams{Fast: true, Policies: []string{"Equipartition", "Dyn-Aff"}}},
+		{"table1", CampaignParams{Fast: true, BudgetSec: 2}},
+		{"futuresim", CampaignParams{Fast: true, Policies: []string{"Dyn-Aff"}, Products: []float64{1, 4, 16}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			run := func(workers int) obs.CampaignSnapshot {
+				t.Helper()
+				cs := obs.NewCampaignStats()
+				p := tc.p
+				p.Workers = workers
+				campaignResult[any](t, obs.WithCollector(context.Background(), cs), tc.kind, p)
+				return cs.Snapshot()
+			}
+			seq, par := run(1), run(8)
+			if seq.Cells == 0 || seq.Total.Runs == 0 {
+				t.Fatalf("collector stayed empty: %+v", seq)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("SimStats differ between Workers=1 and Workers=8:\nseq %+v\npar %+v", seq, par)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,22 @@
 // Package experiments wires the substrate packages into the paper's
-// experiments: one driver per table and figure, consumed by the command-line
-// tools, the examples, and the benchmark harness.
+// experiments. Every experiment is a registered campaign kind (Campaigns,
+// CampaignByKind) that splits into a cell plan (Cells); Campaign.Run
+// executes that plan in process, and affinityd serves the same plan
+// through its cell cache, so both produce the same bytes.
 //
-// The experiment inventory (see DESIGN.md for the full index):
+// The campaign kinds (see DESIGN.md for the full index):
 //
-//   - Characterize      → Figures 2–4 (application characteristics)
-//   - Table1            → Table 1 (P^A and P^NA per application and Q)
-//   - ComparePolicies   → Figures 5 and 6, Tables 3 and 4
-//   - FutureScenarios   → Figures 8–13 (model extrapolation)
+//   - characterize → Figures 2–4 (application characteristics)
+//   - table1       → Table 1 (P^A and P^NA per application and Q)
+//   - compare      → Figures 5 and 6, Tables 3 and 4
+//   - future       → Figures 8–13 (model extrapolation)
+//   - futuresim    → Section 7 (directly simulated future machines)
+//   - relatedwork  → Section 8 (time sharing vs space sharing)
+//
+// The whole-grid drivers ComparePolicies and Table1 remain for the
+// exhibits that need more than a campaign's wire result (per-regime
+// measurements, per-job summaries); the compare cell runs
+// ComparePolicies on its single coordinate.
 package experiments
 
 import (
@@ -58,8 +67,8 @@ type Options struct {
 	Stats *obs.CampaignStats
 	// Engine selects the per-cell execution tier for the grid-shaped
 	// campaigns (EngineSim, EngineAnalytic, or EngineAuto; empty means
-	// EngineSim). Non-grid experiments (Table1, Characterize, RelatedWork,
-	// MPLSweep) always simulate and ignore it.
+	// EngineSim). Non-grid experiments (table1, characterize,
+	// relatedwork, MPLSweep) always simulate and ignore it.
 	Engine string
 }
 
@@ -140,13 +149,6 @@ func (o Options) apps(m workload.Mix, seed uint64) []workload.App {
 			20*simtime.Millisecond, seed+uint64(i)*0x9e3779b9))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // JobSummary aggregates one job's metrics across replications of one

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,10 +60,8 @@ func TestScaledApps(t *testing.T) {
 }
 
 func TestCharacterize(t *testing.T) {
-	chars, err := Characterize(FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	chars := campaignResult[CharacterizeCampaignResult](t, context.Background(),
+		"characterize", CampaignParams{Fast: true}).Apps
 	if len(chars) != 3 {
 		t.Fatalf("characterized %d apps", len(chars))
 	}

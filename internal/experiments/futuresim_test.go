@@ -1,22 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 func TestFutureSimulated(t *testing.T) {
-	opts := FastOptions()
-	opts.Replications = 1
-	mix, _ := workload.MixByNumber(5)
 	policies := []string{"Dynamic", "Dyn-Aff"}
-	products := []float64{1, 16, 64}
-	pts, err := FutureSimulated(opts, mix, policies, products)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := campaignResult[FutureSimCampaignResult](t, context.Background(), "futuresim", CampaignParams{
+		Fast: true, Replications: 1, Mix: 5, Policies: policies, Products: []float64{1, 16, 64},
+	})
+	pts := res.Points
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -53,16 +49,29 @@ func TestFutureSimulated(t *testing.T) {
 	}
 }
 
+// TestFutureSimulatedErrors checks that a bad product, policy or mix is
+// rejected as a ParamError naming the offending field, before anything
+// is simulated.
 func TestFutureSimulatedErrors(t *testing.T) {
-	opts := FastOptions()
-	mix, _ := workload.MixByNumber(5)
-	if _, err := FutureSimulated(opts, mix, []string{"Dynamic"}, []float64{0.5}); err == nil {
-		t.Error("sub-unit product accepted")
+	c, _ := CampaignByKind("futuresim")
+	cases := []struct {
+		what  string
+		p     CampaignParams
+		field string
+	}{
+		{"sub-unit product", CampaignParams{Fast: true, Policies: []string{"Dynamic"}, Products: []float64{0.5}}, "params.products[0]"},
+		{"bogus policy", CampaignParams{Fast: true, Policies: []string{"bogus"}, Products: []float64{1}}, "params.policies[0]"},
+		{"empty mix", CampaignParams{Fast: true, Mix: 9, Policies: []string{"Dynamic"}, Products: []float64{1}}, "params.mix"},
 	}
-	if _, err := FutureSimulated(opts, mix, []string{"bogus"}, []float64{1}); err == nil {
-		t.Error("bogus policy accepted")
-	}
-	if _, err := FutureSimulated(opts, workload.Mix{Number: 9}, []string{"Dynamic"}, []float64{1}); err == nil {
-		t.Error("empty mix accepted")
+	for _, tc := range cases {
+		_, err := c.Run(context.Background(), tc.p)
+		if err == nil {
+			t.Errorf("%s accepted", tc.what)
+			continue
+		}
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("%s: error %v, want a ParamError on %s", tc.what, err, tc.field)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/report"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -122,28 +124,58 @@ func (p CampaignParams) optionsCtx(ctx context.Context) (Options, error) {
 	return o, nil
 }
 
-// Campaign is one registered campaign kind: a name, a human description,
-// and a dispatch function. Every experiment the repo can run is reachable
-// through this one interface; the service, and any future batch or queue
-// front end, needs no per-kind code.
+// Campaign is one registered campaign kind: a name and a human
+// description. Every experiment the repo can run is reachable through
+// this one interface; the service, and any future batch or queue front
+// end, needs no per-kind code.
 type Campaign struct {
 	// Kind is the wire name ("table1", "compare", ...).
 	Kind string
 	// Description is a one-line summary for listings.
 	Description string
-	run         func(ctx context.Context, p CampaignParams) (any, error)
 }
 
-// Run normalizes and validates p, then executes the campaign. The result
-// is a JSON-marshalable value whose encoding is deterministic under
-// report.CanonicalJSON. A cancelled ctx stops scheduling new simulation
-// cells promptly and returns ctx's error.
+// Run normalizes and validates p, then executes the campaign as its cell
+// plan — the same Cells → execute → Merge path affinityd serves, with no
+// cache in between. Cells run on p.Workers workers; each partial is
+// encoded with report.CanonicalJSON and the plan's merge reassembles the
+// result, a JSON-marshalable value whose encoding is deterministic under
+// report.CanonicalJSON. A cancelled ctx stops scheduling new cells
+// promptly and returns ctx's error.
+//
+// If ctx carries an obs collector, each cell folds its stats into a
+// private one, and those fold into the caller's in cell order after the
+// parallel phase, so the totals are identical at every worker count.
 func (c Campaign) Run(ctx context.Context, p CampaignParams) (any, error) {
-	np, err := c.Normalize(p)
+	plan, err := Cells(c.Kind, p)
 	if err != nil {
 		return nil, err
 	}
-	return c.run(ctx, np)
+	collector := obs.CollectorFrom(ctx)
+	var cellStats []*obs.CampaignStats
+	if collector != nil {
+		cellStats = make([]*obs.CampaignStats, len(plan.Cells))
+	}
+	partials := make([][]byte, len(plan.Cells))
+	err = parallel.ForEach(ctx, plan.Params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
+		if cellStats != nil {
+			cellStats[i] = obs.NewCampaignStats()
+			ctx = obs.WithCollector(ctx, cellStats[i])
+		}
+		res, err := plan.Cells[i].Run(ctx)
+		if err != nil {
+			return err
+		}
+		partials[i], err = report.CanonicalJSON(res)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, cs := range cellStats {
+		collector.Merge(cs)
+	}
+	return plan.Merge(ctx, partials)
 }
 
 // Normalize returns p with every default made explicit and every field
@@ -256,32 +288,26 @@ var campaignRegistry = []Campaign{
 	{
 		Kind:        "characterize",
 		Description: "Figures 2-4: per-application parallelism characteristics, measured in isolation",
-		run:         runCharacterizeCampaign,
 	},
 	{
 		Kind:        "table1",
 		Description: "Table 1: per-switch cache penalties P^A and P^NA by application and rescheduling interval",
-		run:         runTable1Campaign,
 	},
 	{
 		Kind:        "compare",
 		Description: "Figures 5-6, Tables 3-4: policy comparison across the six workload mixes",
-		run:         runCompareCampaign,
 	},
 	{
 		Kind:        "future",
 		Description: "Figures 8-13: analytic model sweep over future speed*cache products",
-		run:         runFutureCampaign,
 	},
 	{
 		Kind:        "futuresim",
 		Description: "Section 7 validation: directly simulated scaled machines vs the analytic model",
-		run:         runFutureSimCampaign,
 	},
 	{
 		Kind:        "relatedwork",
 		Description: "Section 8: affinity gains under time sharing vs space sharing",
-		run:         runRelatedWorkCampaign,
 	},
 }
 
@@ -328,54 +354,9 @@ type Table1CampaignCell struct {
 	PAMicros  map[string]float64 `json:"pa_us"`
 }
 
-func runTable1Campaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	t1, err := Table1Ctx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := Table1CampaignResult{
-		Apps:  append([]string(nil), t1.Apps...),
-		Cells: make(map[string]map[string]Table1CampaignCell, len(t1.Qs)),
-	}
-	qs := append([]simtime.Duration(nil), t1.Qs...)
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	for _, q := range qs {
-		out.QsMs = append(out.QsMs, q.Millis())
-		cells := make(map[string]Table1CampaignCell, len(t1.Apps))
-		for app, pen := range t1.Cells[q] {
-			cell := Table1CampaignCell{
-				PNAMicros: pen.PNA.Micros(),
-				PAMicros:  make(map[string]float64, len(pen.PA)),
-			}
-			for iv, d := range pen.PA {
-				cell.PAMicros[iv] = d.Micros()
-			}
-			cells[app] = cell
-		}
-		out.Cells[fmt.Sprintf("%g", q.Millis())] = cells
-	}
-	return out, nil
-}
-
 // CharacterizeCampaignResult is the characterize kind's result.
 type CharacterizeCampaignResult struct {
 	Apps []AppCharacter `json:"apps"`
-}
-
-func runCharacterizeCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	chars, err := CharacterizeCtx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return CharacterizeCampaignResult{Apps: chars}, nil
 }
 
 // CompareCampaignRow is one (mix, policy, job) outcome of the compare
@@ -407,72 +388,6 @@ type CompareCampaignResult struct {
 	Rows     []CompareCampaignRow `json:"rows"`
 }
 
-func runCompareCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mixes := workload.Mixes()
-	if p.Mix != 0 {
-		m, err := workload.MixByNumber(p.Mix)
-		if err != nil {
-			return nil, err
-		}
-		mixes = []workload.Mix{m}
-	}
-	cr, err := ComparePoliciesCtx(ctx, opts, mixes, p.Policies)
-	if err != nil {
-		return nil, err
-	}
-	return compareResultJSON(cr)
-}
-
-// compareResultJSON flattens a CompareResult into the wire shape.
-func compareResultJSON(cr *CompareResult) (CompareCampaignResult, error) {
-	out := CompareCampaignResult{Policies: append([]string(nil), cr.Policies...)}
-	hasBaseline := false
-	for _, pol := range cr.Policies {
-		if pol == "Equipartition" {
-			hasBaseline = true
-		}
-	}
-	for _, mix := range cr.Mixes {
-		out.Mixes = append(out.Mixes, mix.Number)
-		for _, pol := range cr.Policies {
-			var rel []float64
-			if hasBaseline {
-				var err error
-				rel, err = cr.Relative(mix.Number, pol, "Equipartition")
-				if err != nil {
-					return CompareCampaignResult{}, err
-				}
-			}
-			for ji, js := range cr.Summaries[mix.Number][pol] {
-				row := CompareCampaignRow{
-					Mix:           mix.Number,
-					Policy:        pol,
-					Job:           ji,
-					App:           js.App,
-					MeanRTSec:     js.MeanRT(),
-					WorkSec:       js.WorkSec,
-					WasteSec:      js.WasteSec,
-					MissSec:       js.MissSec,
-					SwitchSec:     js.SwitchSec,
-					AvgAlloc:      js.AvgAlloc,
-					Reallocations: js.Reallocations,
-					PctAffinity:   js.PctAffinity,
-					IntervalMs:    js.IntervalMs,
-				}
-				if rel != nil {
-					row.RelRT = rel[ji]
-				}
-				out.Rows = append(out.Rows, row)
-			}
-		}
-	}
-	return out, nil
-}
-
 // FutureCampaignSweep is one policy's model sweep within one scenario.
 type FutureCampaignSweep struct {
 	Policy string `json:"policy"`
@@ -496,26 +411,6 @@ type FutureCampaignScenario struct {
 type FutureCampaignResult struct {
 	Products  []float64                `json:"products"`
 	Scenarios []FutureCampaignScenario `json:"scenarios"`
-}
-
-func runFutureCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := ComparePoliciesCtx(ctx, opts, workload.Mixes(), withBaseline(p.Policies))
-	if err != nil {
-		return nil, err
-	}
-	t1, err := Table1Ctx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	scen, err := FutureScenarios(cr, t1)
-	if err != nil {
-		return nil, err
-	}
-	return futureResultJSON(ctx, scen, p)
 }
 
 // withBaseline returns policies with Equipartition prepended unless it is
@@ -587,40 +482,8 @@ type FutureSimCampaignResult struct {
 	Points   []FutureSimCampaignPoint `json:"points"`
 }
 
-func runFutureSimCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mix, err := workload.MixByNumber(p.Mix)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := FutureSimulatedCtx(ctx, opts, mix, p.Policies, p.Products)
-	if err != nil {
-		return nil, err
-	}
-	out := FutureSimCampaignResult{Mix: p.Mix, Policies: append([]string(nil), p.Policies...)}
-	for _, pt := range pts {
-		out.Points = append(out.Points, FutureSimCampaignPoint{Product: pt.Product, SimRel: pt.SimRel})
-	}
-	return out, nil
-}
-
 // RelatedWorkCampaignResult is the relatedwork kind's result; the inner
 // type already exposes only JSON-safe fields.
 type RelatedWorkCampaignResult struct {
 	Result *RelatedWorkResult `json:"result"`
-}
-
-func runRelatedWorkCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := RelatedWorkCtx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return RelatedWorkCampaignResult{Result: rw}, nil
 }

@@ -151,11 +151,23 @@ func TestCampaignRunCancelled(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// campaignResult runs kind through Campaign.Run and returns its result as
+// the kind's wire type.
+func campaignResult[T any](t *testing.T, ctx context.Context, kind string, p CampaignParams) T {
+	t.Helper()
+	c, ok := CampaignByKind(kind)
+	if !ok {
+		t.Fatalf("unknown kind %q", kind)
 	}
-	return b
+	res, err := c.Run(ctx, p)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", kind, p.Workers, err)
+	}
+	out, ok := res.(T)
+	if !ok {
+		t.Fatalf("%s: result is %T", kind, res)
+	}
+	return out
 }
 
 // TestWithBaseline checks the future kind's comparison list gains the

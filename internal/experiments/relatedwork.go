@@ -48,65 +48,6 @@ type RelatedWorkRow struct {
 	PctAffinity   float64
 }
 
-// RelatedWork runs workload mix #5 under four policies — time sharing with
-// and without affinity, and space sharing with and without affinity — and
-// measures how much affinity helps in each domain. The paper's Section 8
-// explains why time-sharing studies found affinity important while this
-// paper did not; this experiment demonstrates the mechanism directly. It
-// is RelatedWorkCtx without cancellation.
-func RelatedWork(opts Options) (*RelatedWorkResult, error) {
-	return RelatedWorkCtx(context.Background(), opts)
-}
-
-// RelatedWorkCtx is RelatedWork with cancellation: a cancelled ctx stops
-// scheduling new simulation cells promptly and returns ctx's error.
-func RelatedWorkCtx(ctx context.Context, opts Options) (*RelatedWorkResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	mix, err := workload.MixByNumber(5)
-	if err != nil {
-		return nil, err
-	}
-	policies := relatedWorkPolicies()
-	// Fan the (policy, replication) cells out; idx = pi*R + rep.
-	R := opts.Replications
-	runs := make([]sched.Result, len(policies)*R)
-	err = parallel.ForEach(ctx, opts.Workers, len(runs), func(ctx context.Context, idx int) error {
-		rep := idx % R
-		polName := policies[idx/R]
-		seed := parallel.CellSeed(opts.Seed, uint64(rep))
-		pol, ok := core.ByName(polName)
-		if !ok {
-			return fmt.Errorf("experiments: unknown policy %q", polName)
-		}
-		r, err := runSim(sched.Config{
-			Machine: opts.Machine,
-			Policy:  pol,
-			Apps:    opts.apps(mix, seed),
-			Seed:    seed,
-		})
-		if err != nil {
-			return err
-		}
-		runs[idx] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		parallel.Fold(runs, func(idx int, r sched.Result) {
-			opts.Stats.Add(policies[idx/R], r.Stats)
-		})
-	}
-	rows := make([]RelatedWorkRow, len(policies))
-	for pi, polName := range policies {
-		rows[pi] = relatedWorkRowFrom(polName, runs[pi*R:(pi+1)*R])
-	}
-	return relatedWorkDerive(rows), nil
-}
-
 // relatedWorkPolicies lists the Section-8 contrast's four policies: time
 // sharing with and without affinity, then space sharing likewise.
 func relatedWorkPolicies() []string {
@@ -114,8 +55,7 @@ func relatedWorkPolicies() []string {
 }
 
 // relatedWorkRowFrom aggregates one policy's replications in replication
-// order. Shared by the monolithic campaign and the per-policy cell path,
-// so both accumulate bitwise identically.
+// order.
 func relatedWorkRowFrom(polName string, runs []sched.Result) RelatedWorkRow {
 	R := len(runs)
 	var row RelatedWorkRow

@@ -95,6 +95,47 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 	}
 }
 
+// TestCampaignStatsMerge checks that merging collectors is the same as
+// making every Add on one: cells, totals and per-policy stats all fold.
+func TestCampaignStatsMerge(t *testing.T) {
+	adds := []struct {
+		policy string
+		s      SimStats
+	}{
+		{"Equipartition", SimStats{Runs: 1, Reallocations: 4, EventqPeak: 9, InvalLines: 1.5}},
+		{"Affinity", SimStats{Runs: 1, Reallocations: 2, EventqPeak: 3}},
+		{"Equipartition", SimStats{Runs: 1, Reallocations: 6, EventqPeak: 5, InvalLines: 0.5}},
+	}
+	want := NewCampaignStats()
+	a, b := NewCampaignStats(), NewCampaignStats()
+	for i, add := range adds {
+		want.Add(add.policy, add.s)
+		if i == 0 {
+			a.Add(add.policy, add.s)
+		} else {
+			b.Add(add.policy, add.s)
+		}
+	}
+	got := NewCampaignStats()
+	got.Merge(a)
+	got.Merge(b)
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("merged snapshot = %+v, want %+v", g, w)
+	}
+	if s := got.Snapshot(); s.Cells != 3 || s.Total.Reallocations != 12 || s.Total.EventqPeak != 9 ||
+		s.PerPolicy["Equipartition"].Reallocations != 10 || s.PerPolicy["Affinity"].Runs != 1 {
+		t.Fatalf("merged snapshot = %+v", s)
+	}
+	// A nil receiver or argument is a no-op.
+	var nilC *CampaignStats
+	nilC.Merge(a)
+	before := got.Snapshot()
+	got.Merge(nil)
+	if after := got.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Merge(nil) changed the collector: %+v -> %+v", before, after)
+	}
+}
+
 func TestContextPlumbing(t *testing.T) {
 	if got := CollectorFrom(context.Background()); got != nil {
 		t.Fatalf("empty context yielded collector %p", got)

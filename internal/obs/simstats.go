@@ -89,13 +89,38 @@ func (c *CampaignStats) Add(policy string, s SimStats) {
 	c.mu.Lock()
 	c.cells++
 	c.total.Merge(s)
+	c.policyLocked(policy).Merge(s)
+	c.mu.Unlock()
+}
+
+// Merge folds every cell o has accumulated into c: cell counts add, and
+// the totals and each policy's stats merge as by SimStats.Merge. A nil
+// receiver or argument is a no-op. Campaign.Run gives each cell a private
+// collector and merges them in cell order, which keeps the caller's
+// totals independent of the worker count.
+func (c *CampaignStats) Merge(o *CampaignStats) {
+	if c == nil || o == nil {
+		return
+	}
+	snap := o.Snapshot()
+	c.mu.Lock()
+	c.cells += snap.Cells
+	c.total.Merge(snap.Total)
+	for _, pol := range snap.PolicyOrder {
+		c.policyLocked(pol).Merge(snap.PerPolicy[pol])
+	}
+	c.mu.Unlock()
+}
+
+// policyLocked returns policy's accumulator, creating it on first use.
+// Callers hold c.mu.
+func (c *CampaignStats) policyLocked(policy string) *SimStats {
 	p := c.perPolicy[policy]
 	if p == nil {
 		p = &SimStats{}
 		c.perPolicy[policy] = p
 	}
-	p.Merge(s)
-	c.mu.Unlock()
+	return p
 }
 
 // CampaignSnapshot is a point-in-time copy of a CampaignStats.
@@ -130,7 +155,7 @@ func (c *CampaignStats) Snapshot() CampaignSnapshot {
 type collectorKey struct{}
 
 // WithCollector returns a context carrying the collector; campaign
-// entry points (the registry's run functions) retrieve it with
+// entry points (Campaign.Run and each cell's run) retrieve it with
 // CollectorFrom and attach it to the run options. A nil collector is
 // legal and yields a context with no collector.
 func WithCollector(ctx context.Context, c *CampaignStats) context.Context {

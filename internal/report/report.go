@@ -259,13 +259,6 @@ func F(v float64, decimals int) string {
 // Pct formats a fraction as a percentage.
 func Pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // WriteMarkdown renders the table as GitHub-flavored Markdown, the format
 // used by EXPERIMENTS.md.
 func (t *Table) WriteMarkdown(w io.Writer) error {

@@ -18,16 +18,17 @@ import (
 	"repro/internal/version"
 )
 
-// This file is the cell execution path: when the server runs the real
-// campaign registry (Config.Runner == nil), a job is not executed as one
-// opaque call but as its experiments.CellPlan — every cell is looked up
-// in the per-cell result cache, only the missing ones execute, and each
-// completed cell is cached immediately. A campaign cancelled mid-flight
-// therefore leaves its finished cells behind, and a re-submission (or a
-// superset campaign sharing a sub-grid) resumes instead of restarting.
-// The merged body is byte-identical to a monolithic run — the
-// experiments-layer contract pinned by TestCellMergeMatchesMonolithic —
-// so the campaign-level cache and the cell cache never disagree.
+// This file is the cell execution path: unless a test substitutes an
+// opaque Config.Runner, a job is executed as its experiments.CellPlan —
+// every cell is looked up in the per-cell result cache, only the missing
+// ones execute, and each completed cell is cached immediately. A
+// campaign cancelled mid-flight therefore leaves its finished cells
+// behind, and a re-submission (or a superset campaign sharing a
+// sub-grid) resumes instead of restarting. The merged body is
+// byte-identical to experiments.Campaign.Run, which executes the same
+// plan without a cache — the contract pinned by
+// TestCellMergeMatchesMonolithic — so the campaign-level cache and the
+// cell cache never disagree.
 
 // jobEvent is one NDJSON line of GET /v1/jobs/{id}/events: a "cell"
 // progress event per completed cell, then exactly one terminal event

@@ -77,17 +77,9 @@ import (
 	"repro/internal/version"
 )
 
-// Runner executes one campaign; the default dispatches through the
-// experiments registry. Tests substitute controllable runners.
+// Runner executes one campaign opaquely, in place of the server's own
+// cell-by-cell execution. Tests substitute controllable runners.
 type Runner func(ctx context.Context, kind string, p experiments.CampaignParams) (any, error)
-
-func registryRunner(ctx context.Context, kind string, p experiments.CampaignParams) (any, error) {
-	c, ok := experiments.CampaignByKind(kind)
-	if !ok {
-		return nil, fmt.Errorf("service: unknown campaign kind %q", kind)
-	}
-	return c.Run(ctx, p)
-}
 
 // Config parameterizes a Server. Zero values select the defaults noted on
 // each field.
@@ -119,10 +111,10 @@ type Config struct {
 	// it keeps the jobs map — and the result bodies it pins — bounded on
 	// a long-running daemon.
 	MaxJobs int
-	// Runner substitutes the campaign executor (tests); nil uses the
-	// experiments registry, executed cell by cell through the cell cache.
-	// A non-nil Runner is opaque to the server, so cell-level caching and
-	// progress events are disabled for it.
+	// Runner substitutes the campaign executor (tests); nil runs each
+	// campaign's experiments cell plan cell by cell through the cell
+	// cache. A non-nil Runner is opaque to the server, so cell-level
+	// caching and progress events are disabled for it.
 	Runner Runner
 	// CellCache substitutes the per-cell result cache, letting several
 	// servers — or a restarted one — share completed cells; nil builds a
@@ -184,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
-	}
-	if c.Runner == nil {
-		c.Runner = registryRunner
 	}
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 16
@@ -347,9 +336,6 @@ type Server struct {
 	cfg     Config
 	metrics *metrics
 	mux     *http.ServeMux
-	// useCells selects the cell execution path; false when a custom
-	// Runner makes the campaign opaque to the server.
-	useCells bool
 	// bodies and cells are the campaign-body and per-cell tier chains.
 	// Their memory tiers are separate; both sit on the same disk tier
 	// (cfg.Store, nil when persistence is disabled).
@@ -378,10 +364,6 @@ type Server struct {
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
-	// Cell execution requires the real registry: a custom Runner is
-	// opaque, so its jobs run monolithically. Decided before withDefaults
-	// installs the registry runner.
-	useCells := cfg.Runner == nil
 	cfg = cfg.withDefaults()
 	cellCache := cfg.CellCache
 	if cellCache == nil {
@@ -391,7 +373,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		bodies:      resultcache.Tiers{Mem: resultcache.New(cfg.CacheBytes), Disk: cfg.Store},
-		useCells:    useCells,
 		cells:       resultcache.Tiers{Mem: cellCache, Disk: cfg.Store},
 		fleet:       cfg.Fleet,
 		fleetWorker: cfg.FleetWorker,
@@ -762,14 +743,14 @@ func (s *Server) worker() {
 		j.mu.Unlock()
 		span(&s.metrics.spanQueueWait, j.started.Sub(j.created))
 		s.metrics.inflight.Add(1)
-		// The registry path runs the campaign cell by cell through the
-		// cell cache; a custom Runner is opaque and runs monolithically.
+		// Without a custom Runner the campaign runs cell by cell through
+		// the cell cache; a custom Runner is opaque and runs as one call.
 		// Either way the collector rides the context, not the params: the
 		// campaign attaches it to its run options, so stats flow out of
 		// band and the result bytes stay identical to an uninstrumented
 		// run.
 		exec := func() ([]byte, error) {
-			if s.useCells {
+			if s.cfg.Runner == nil {
 				return s.runCells(j)
 			}
 			res, err := s.cfg.Runner(obs.WithCollector(j.ctx, j.stats), j.kind, j.params)
