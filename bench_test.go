@@ -61,7 +61,9 @@ func BenchmarkCharacterize(b *testing.B) {
 
 // BenchmarkTable1 regenerates Table 1: P^A and P^NA for every application
 // pair at Q = 25, 100 and 400 ms. Headline metrics: MVA's P^NA at the
-// extremes (paper: 914 µs and 2330 µs).
+// extremes (paper: 914 µs and 2330 µs). It measures the whole-grid
+// BuildTable1Ctx driver behind the CLI exhibits, not the cell path
+// affinityd serves (BenchmarkTable1Campaign).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t1, err := experiments.Table1(benchOptions())
@@ -73,6 +75,27 @@ func BenchmarkTable1(b *testing.B) {
 		b.ReportMetric(t1.Cells[q400]["MVA"].PNA.Micros(), "PNA-MVA-Q400-us")
 		b.ReportMetric(t1.Cells[q400]["GRAVITY"].PNA.Micros(), "PNA-GRAV-Q400-us")
 		b.ReportMetric(t1.Cells[q400]["MATRIX"].PA["MVA"].Micros(), "PA-MAT-vs-MVA-Q400-us")
+	}
+}
+
+// table1CampaignSeed hands BenchmarkTable1Campaign a fresh seed per
+// iteration, across the benchmark's b.N rounds too, so no iteration's
+// streams are served from the memo an earlier one filled.
+var table1CampaignSeed uint64
+
+// BenchmarkTable1Campaign measures the cell path affinityd serves for
+// Table 1: Campaign.Run over the table1 cell plan, fast preset, 0.4 s
+// budget, one worker.
+func BenchmarkTable1Campaign(b *testing.B) {
+	camp, _ := experiments.CampaignByKind("table1")
+	for i := 0; i < b.N; i++ {
+		table1CampaignSeed++
+		_, err := camp.Run(context.Background(), experiments.CampaignParams{
+			Fast: true, BudgetSec: 0.4, Seed: table1CampaignSeed, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

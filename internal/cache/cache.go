@@ -184,9 +184,6 @@ func New(cfg Config) (*Cache, error) {
 		epoch:     1,
 		slotOf:    make(map[int]uint64),
 		lastOwner: NoOwner,
-		// Sized so steady-state journaling never regrows the undo log
-		// (worst case touches every line once).
-		jlog: make([]jentry, 0, cfg.Lines()),
 	}
 	return c, nil
 }
@@ -473,6 +470,12 @@ func (c *Cache) BeginJournal() {
 	}
 	c.journaling = true
 	c.jgen++
+	if c.jlog == nil {
+		// Allocated on first use, so caches that never journal (and
+		// clones, which drop the log) carry none. Sized so steady-state
+		// journaling never regrows it (worst case touches every line once).
+		c.jlog = make([]jentry, 0, c.cfg.Lines())
+	}
 	c.jlog = c.jlog[:0]
 	c.jres = append(c.jres[:0], c.resCount...)
 	c.jctr = jcounters{
@@ -548,10 +551,11 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Clone returns an independent deep copy of the cache. The single-replay
-// plan/commit protocol no longer clones on the hot path; Clone remains for
-// the clone-based oracle model and tests. It panics while a journal is
-// open.
+// Clone returns an independent deep copy of the cache, without the undo
+// log (a journaling clone allocates its own on BeginJournal). The
+// single-replay plan/commit protocol does not clone on its hot path; the
+// Section-4 measurement forks its regimes with Clone, and the clone-based
+// oracle model and tests use it. It panics while a journal is open.
 func (c *Cache) Clone() *Cache {
 	if c.journaling {
 		panic("cache: Clone during an open journal")

@@ -117,7 +117,11 @@ const interveningBase = 1 << 40
 // prefix of the same intervening stream. Precomputing each stream once and
 // sharing it read-only across runs (and across campaign workers) removes
 // the dominant generator cost from the hot loop while staying trivially
-// bitwise identical to per-reference generation.
+// bitwise identical to per-reference generation. measuredStream and
+// interveningStream take their streams from a process-wide memo (see
+// streammemo.go), so the cells of one campaign share them too; the
+// identity argument is unchanged, since a memo entry is the NewStream of
+// its key.
 type Stream struct {
 	addrs []uint64
 	gap   simtime.Duration
@@ -134,20 +138,20 @@ func NewStream(pat memtrace.Pattern, base, seed uint64, n int) *Stream {
 	return s
 }
 
-// measuredStream precomputes the measured program's stream for one run:
+// measuredStream returns the measured program's stream for one run:
 // exactly the references a budget's worth of compute performs.
 func measuredStream(measured memtrace.Pattern, opts Options) *Stream {
 	g := memtrace.NewGenerator(measured, 0, opts.Seed)
-	return NewStream(measured, 0, opts.Seed, g.RefsFor(opts.Budget))
+	return streams.get(measured, 0, opts.Seed, g.RefsFor(opts.Budget))
 }
 
-// interveningStream precomputes the intervening program's stream for one
-// run. The amount consumed depends on cache behaviour, so the length is a
+// interveningStream returns the intervening program's stream for one run.
+// The amount consumed depends on cache behaviour, so the length is a
 // heuristic (one budget's worth of its references); consumption beyond it
 // falls back to the stream's tail generator.
 func interveningStream(intervening memtrace.Pattern, opts Options) *Stream {
 	g := memtrace.NewGenerator(intervening, interveningBase, opts.Seed^0x5bd1e995)
-	return NewStream(intervening, interveningBase, opts.Seed^0x5bd1e995, g.RefsFor(opts.Budget))
+	return streams.get(intervening, interveningBase, opts.Seed^0x5bd1e995, g.RefsFor(opts.Budget))
 }
 
 // cursor is one run's private read position over a shared Stream.
@@ -174,8 +178,8 @@ func Run(mc machine.Config, measured memtrace.Pattern, intervening memtrace.Patt
 	return runStreams(mc, measuredStream(measured, opts), istream, regime, opts)
 }
 
-// runStreams is Run over precomputed streams (see MeasurePenalties and
-// BuildTable1Ctx, which share streams across runs).
+// runStreams is Run over precomputed streams: one regime continued from
+// the empty run state to the end of the measured stream.
 func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime Regime, opts Options) (RunResult, error) {
 	if err := mc.Validate(); err != nil {
 		return RunResult{}, err
@@ -183,24 +187,80 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	c, err := cache.New(mc.Cache)
+	st, err := newRunState(mc, measured, opts.Q)
 	if err != nil {
 		return RunResult{}, err
 	}
+	st.inter = cursor{s: intervening}
+	st.replay(regime, false)
+	return st.result(regime), nil
+}
 
-	var inter cursor
-	if regime == Multiprog {
-		inter = cursor{s: intervening}
+// runState is one run's position in the measured stream: the cache it has
+// built up, the intervening program's cursor, and the measured program's
+// accounting so far.
+type runState struct {
+	mc         machine.Config
+	measured   *Stream
+	q          simtime.Duration // rescheduling interval
+	c          *cache.Cache
+	inter      cursor
+	pos        int              // next measured reference
+	own        simtime.Duration // measured program's accumulated time
+	nextSwitch simtime.Duration
+	switches   int
+	misses     uint64
+}
+
+// newRunState returns the state before the first measured reference: an
+// empty cache and the first switch point one quantum away.
+func newRunState(mc machine.Config, measured *Stream, q simtime.Duration) (*runState, error) {
+	c, err := cache.New(mc.Cache)
+	if err != nil {
+		return nil, err
 	}
+	return &runState{mc: mc, measured: measured, q: q, c: c, nextSwitch: q}, nil
+}
 
-	var (
-		own        simtime.Duration // measured program's accumulated time
-		nextSwitch = simtime.Duration(opts.Q)
-		switches   int
-		misses     uint64
-	)
-	step := mc.Compute(measured.gap)
-	for _, addr := range measured.addrs {
+// fork returns an independent copy of st whose intervening program, from
+// here on, is intervening. Nothing of the intervening stream has been
+// consumed before the first switch action, so the cursor starts at zero.
+func (st *runState) fork(intervening *Stream) *runState {
+	out := *st
+	out.c = st.c.Clone()
+	out.inter = cursor{s: intervening}
+	return &out
+}
+
+// act takes regime's action at a switch point. The measured program's own
+// time is unaffected: intervening execution does not count against it.
+func (st *runState) act(regime Regime) {
+	switch regime {
+	case Stationary:
+		// Immediately replaced: no cache disturbance.
+	case Migrating:
+		st.c.Flush()
+	case Multiprog:
+		runIntervening(st.mc, st.c, &st.inter, st.q)
+	}
+}
+
+// replay continues st through the measured stream under regime. A switch
+// point's bookkeeping (count, path cost, next switch point) does not
+// depend on the regime; with pause set, replay returns true right after
+// the first switch point's bookkeeping, before its action, so the caller
+// can fork the regimes there. Otherwise it runs to the end of the stream
+// and returns false.
+func (st *runState) replay(regime Regime, pause bool) bool {
+	mc, c := st.mc, st.c
+	own, nextSwitch, switches, misses := st.own, st.nextSwitch, st.switches, st.misses
+	step := mc.Compute(st.measured.gap)
+	addrs := st.measured.addrs
+	i := st.pos
+	paused := false
+	for i < len(addrs) {
+		addr := addrs[i]
+		i++
 		own += step
 		if !c.Access(ownerMeasured, addr) {
 			misses++
@@ -209,24 +269,27 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 		if own >= nextSwitch {
 			switches++
 			own += mc.SwitchPath
-			switch regime {
-			case Stationary:
-				// Immediately replaced: no cache disturbance.
-			case Migrating:
-				c.Flush()
-			case Multiprog:
-				runIntervening(mc, c, &inter, opts.Q)
+			nextSwitch = own + st.q
+			if pause {
+				paused = true
+				break
 			}
-			nextSwitch = own + opts.Q
+			st.act(regime)
 		}
 	}
+	st.pos, st.own, st.nextSwitch, st.switches, st.misses = i, own, nextSwitch, switches, misses
+	return paused
+}
+
+// result reports the run as regime's.
+func (st *runState) result(regime Regime) RunResult {
 	return RunResult{
 		Regime:       regime,
-		ResponseTime: own,
-		Switches:     switches,
-		Misses:       misses,
-		Accesses:     uint64(len(measured.addrs)),
-	}, nil
+		ResponseTime: st.own,
+		Switches:     st.switches,
+		Misses:       st.misses,
+		Accesses:     uint64(len(st.measured.addrs)),
+	}
 }
 
 // interBlock is the address-batch size for the intervening stream's
@@ -326,34 +389,46 @@ func MeasurePenalties(mc machine.Config, measured memtrace.Pattern, intervening 
 	return measurePenalties(mc, measured.Name, ms, intervening, ivs, opts)
 }
 
-// measurePenalties is MeasurePenalties over precomputed streams: the
-// measured stream is replayed by all len(intervening)+2 runs rather than
-// regenerated per run.
+// measurePenalties is MeasurePenalties over precomputed streams. Every
+// regime replays the same measured references into the same cache until
+// the first switch point; only the action taken there differs. So the
+// prefix is replayed once, the cache is cloned there for Migrating and for
+// each Multiprog run, and Stationary continues on the original.
 func measurePenalties(mc machine.Config, name string, measured *Stream, intervening []memtrace.Pattern, ivStreams []*Stream, opts Options) (Penalties, error) {
-	stat, err := runStreams(mc, measured, nil, Stationary, opts)
+	if err := mc.Validate(); err != nil {
+		return Penalties{}, err
+	}
+	if err := opts.Validate(); err != nil {
+		return Penalties{}, err
+	}
+	st, err := newRunState(mc, measured, opts.Q)
 	if err != nil {
 		return Penalties{}, err
 	}
-	mig, err := runStreams(mc, measured, nil, Migrating, opts)
-	if err != nil {
-		return Penalties{}, err
+	paused := st.replay(Stationary, true)
+	finish := func(run *runState, regime Regime) RunResult {
+		if paused {
+			run.act(regime)
+			run.replay(regime, false)
+		}
+		return run.result(regime)
 	}
 	p := Penalties{
-		Measured:   name,
-		Q:          opts.Q,
-		PNA:        perSwitch(mig.ResponseTime-stat.ResponseTime, mig.Switches),
-		PA:         make(map[string]simtime.Duration, len(intervening)),
-		Stationary: stat,
-		Migrating:  mig,
-		Multi:      make(map[string]RunResult, len(intervening)),
+		Measured:  name,
+		Q:         opts.Q,
+		PA:        make(map[string]simtime.Duration, len(intervening)),
+		Migrating: finish(st.fork(nil), Migrating),
+		Multi:     make(map[string]RunResult, len(intervening)),
 	}
 	for i, iv := range intervening {
-		multi, err := runStreams(mc, measured, ivStreams[i], Multiprog, opts)
-		if err != nil {
-			return Penalties{}, err
-		}
-		p.Multi[iv.Name] = multi
-		p.PA[iv.Name] = perSwitch(multi.ResponseTime-stat.ResponseTime, multi.Switches)
+		p.Multi[iv.Name] = finish(st.fork(ivStreams[i]), Multiprog)
+	}
+	// Last: Stationary continues on the state the others forked from.
+	p.Stationary = finish(st, Stationary)
+	p.PNA = perSwitch(p.Migrating.ResponseTime-p.Stationary.ResponseTime, p.Migrating.Switches)
+	for _, iv := range intervening {
+		multi := p.Multi[iv.Name]
+		p.PA[iv.Name] = perSwitch(multi.ResponseTime-p.Stationary.ResponseTime, multi.Switches)
 	}
 	return p, nil
 }
@@ -375,8 +450,10 @@ func perSwitch(delta simtime.Duration, switches int) simtime.Duration {
 // application) cell of Table 1 in isolation. It reproduces the matching
 // BuildTable1Ctx cell bitwise: the measured and intervening streams
 // depend only on (pattern, budget, seed) — Q never enters stream
-// construction — so rebuilding them here replays exactly the references
-// the shared-stream table build replays. The cell caches of the sharded
+// construction — so the streams it takes from the shared memo (built on
+// first use by whichever cell needs them, or per call when too long to
+// retain) replay exactly the references the shared-stream table build
+// replays. The cell caches of the sharded
 // campaign path rely on this identity.
 func MeasureCell(mc machine.Config, patterns []memtrace.Pattern, measured int, q, budget simtime.Duration, seed uint64) (Penalties, error) {
 	if measured < 0 || measured >= len(patterns) {

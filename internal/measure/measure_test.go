@@ -48,6 +48,20 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestBuildTable1RejectsBadInputs: the whole-grid driver must refuse a
+// budget shorter than its largest Q, as every single-cell entry point does,
+// rather than tabulate runs in which that Q never fires.
+func TestBuildTable1RejectsBadInputs(t *testing.T) {
+	if _, err := BuildTable1(machine.Symmetry(), memtrace.Patterns(), DefaultQs(), 200*simtime.Millisecond, 1); err == nil {
+		t.Error("budget 200ms below Q 400ms accepted")
+	}
+	mc := machine.Symmetry()
+	mc.Processors = 0
+	if _, err := BuildTable1(mc, memtrace.Patterns(), DefaultQs(), simtime.Second, 1); err == nil {
+		t.Error("bad machine accepted")
+	}
+}
+
 func TestStationaryBaselineProperties(t *testing.T) {
 	mc := machine.Symmetry()
 	opts := fast(25 * simtime.Millisecond)
