@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -64,7 +65,7 @@ func BenchmarkSchedRunnerSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkCompareCellAllocs measures one full ComparePolicies cell
+// BenchmarkCompareCellAllocs measures one full ComparePoliciesCtx cell
 // (one mix, one policy, FastOptions replications), run sequentially.
 func BenchmarkCompareCellAllocs(b *testing.B) {
 	opts := experiments.FastOptions()
@@ -73,7 +74,7 @@ func BenchmarkCompareCellAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.ComparePolicies(opts, []workload.Mix{mix5}, []string{"Dyn-Aff"})
+		_, err := experiments.ComparePoliciesCtx(context.Background(), opts, []workload.Mix{mix5}, []string{"Dyn-Aff"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func BenchmarkComparePolicies(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+		_, err := experiments.ComparePoliciesCtx(context.Background(), opts, workload.Mixes(), policies)
 		if err != nil {
 			b.Fatal(err)
 		}

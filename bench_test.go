@@ -61,12 +61,12 @@ func BenchmarkCharacterize(b *testing.B) {
 
 // BenchmarkTable1 regenerates Table 1: P^A and P^NA for every application
 // pair at Q = 25, 100 and 400 ms. Headline metrics: MVA's P^NA at the
-// extremes (paper: 914 µs and 2330 µs). It measures the whole-grid
-// BuildTable1Ctx driver behind the CLI exhibits, not the cell path
-// affinityd serves (BenchmarkTable1Campaign).
+// extremes (paper: 914 µs and 2330 µs). It runs the table1 campaign at
+// the benchmark budget, as the CLI exhibits do; BenchmarkTable1Campaign
+// times the fast preset at 0.4 s.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t1, err := experiments.Table1(benchOptions())
+		t1, err := experiments.RunTable1(context.Background(), benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkTable1Campaign(b *testing.B) {
 // compareAllMixes runs the Section-6 comparison across all six mixes.
 func compareAllMixes(b *testing.B, policies []string) *experiments.CompareResult {
 	b.Helper()
-	cr, err := experiments.ComparePolicies(benchOptions(), workload.Mixes(), policies)
+	cr, err := experiments.RunCompare(context.Background(), benchOptions(), 0, policies)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,9 +164,8 @@ func BenchmarkFigure6(b *testing.B) {
 // Dyn-Aff (paper: 21-31% vs 54-83%) and the reallocation reduction under
 // yield-delay (paper: about one third).
 func BenchmarkTable3(b *testing.B) {
-	mix5, _ := workload.MixByNumber(5)
 	for i := 0; i < b.N; i++ {
-		cr, err := experiments.ComparePolicies(benchOptions(), []workload.Mix{mix5},
+		cr, err := experiments.RunCompare(context.Background(), benchOptions(), 5,
 			[]string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 		if err != nil {
 			b.Fatal(err)
@@ -183,20 +182,22 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4: average job response times of the
 // homogeneous mixes under Dyn-Aff vs Dyn-Aff-NoPri.
 func BenchmarkTable4(b *testing.B) {
-	mix1, _ := workload.MixByNumber(1)
-	mix4, _ := workload.MixByNumber(4)
 	for i := 0; i < b.N; i++ {
-		cr, err := experiments.ComparePolicies(benchOptions(),
-			[]workload.Mix{mix1, mix4},
-			[]string{"Equipartition", "Dyn-Aff", "Dyn-Aff-NoPri"})
-		if err != nil {
-			b.Fatal(err)
+		// One campaign per homogeneous mix: a campaign runs one mix or all.
+		crs := make(map[int]*experiments.CompareResult)
+		for _, mix := range []int{1, 4} {
+			cr, err := experiments.RunCompare(context.Background(), benchOptions(), mix,
+				[]string{"Equipartition", "Dyn-Aff", "Dyn-Aff-NoPri"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			crs[mix] = cr
 		}
 		mean := func(mix int, pol string) float64 {
-			sums := cr.Summaries[mix][pol]
+			sums := crs[mix].Summaries[mix][pol]
 			t := 0.0
 			for _, s := range sums {
-				t += s.MeanRT()
+				t += s.MeanRTSec
 			}
 			return t / float64(len(sums))
 		}
@@ -214,7 +215,7 @@ func BenchmarkFigure8to13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOptions()
 		cr := compareAllMixes(b, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
-		t1, err := experiments.Table1(opts)
+		t1, err := experiments.RunTable1(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

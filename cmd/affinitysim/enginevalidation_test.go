@@ -11,22 +11,13 @@ import (
 // binary that registers the flag must reject a tier its campaign kind
 // cannot run — analytic/auto on the non-grid kinds, unknown names
 // anywhere — with the service's "params.engine" field-path error, before
-// any simulation starts. One positive case per grid CLI pins that valid
-// tiers still parse.
+// any simulation starts. Positive cases on the grid CLIs pin that valid
+// tiers still parse and run.
 func TestEngineFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four binaries in -short mode")
 	}
-	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, cli := range []string{"affinitysim", "measurepenalty", "policycompare", "futuremodel"} {
-		bin := filepath.Join(dir, cli)
-		build := exec.Command("go", "build", "-o", bin, "../"+cli)
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", cli, err, out)
-		}
-		bins[cli] = bin
-	}
+	dir := builtCLIs(t)
 
 	cases := []struct {
 		name    string
@@ -56,10 +47,20 @@ func TestEngineFlagValidation(t *testing.T) {
 			[]string{"-engine", "analytic", "-fast", "-mix", "5", "-reps", "1"}, ""},
 		{"futuremodel rejects unknown tier", "futuremodel",
 			[]string{"-engine", "bogus"}, "params.engine"},
+		// The future pipeline's Table 1 (and all's characterization) is
+		// always simulated, whatever the tier of its compare half.
+		{"futuremodel accepts analytic", "futuremodel",
+			[]string{"-engine", "analytic", "-fast", "-reps", "1", "-csv"}, ""},
+		{"affinitysim future accepts analytic", "affinitysim",
+			[]string{"future", "-engine", "analytic", "-fast", "-reps", "1", "-budget", "0.4"}, ""},
+		{"affinitysim future accepts auto", "affinitysim",
+			[]string{"future", "-engine", "auto", "-fast", "-reps", "1", "-budget", "0.4"}, ""},
+		{"affinitysim all accepts analytic", "affinitysim",
+			[]string{"all", "-engine", "analytic", "-fast", "-reps", "1", "-budget", "0.4"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bins[tc.cli], tc.args...).CombinedOutput()
+			out, err := exec.Command(filepath.Join(dir, tc.cli), tc.args...).CombinedOutput()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("%s %v failed: %v\n%s", tc.cli, tc.args, err, out)

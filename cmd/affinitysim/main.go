@@ -18,8 +18,8 @@
 //
 //	-procs N      number of processors (default 16, as in the paper)
 //	-seed N       root random seed (default 1)
-//	-reps N       replications per (mix, policy) cell (default 5)
-//	-budget SEC   Table-1 measurement compute budget in seconds (default 20)
+//	-reps N       replications per (mix, policy) cell (default 5; 2 with -fast)
+//	-budget SEC   Table-1 measurement compute budget in seconds (default 20; 4 with -fast)
 //	-fast         scaled-down quick mode
 //	-csv          emit CSV instead of aligned tables
 //	-mix N        restrict the comparison to one workload mix (1-6)
@@ -43,6 +43,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/measure"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -80,8 +81,8 @@ func parse(args []string) (string, *cli, error) {
 	c.common = cliflags.Register(fs)
 	c.common.RegisterEngine(fs)
 	procs := fs.Int("procs", c.opts.Machine.Processors, "number of processors")
-	reps := fs.Int("reps", c.opts.Replications, "replications per cell")
-	budget := fs.Float64("budget", c.opts.MeasureBudget.SecondsF(), "Table-1 compute budget (seconds)")
+	reps := fs.Int("reps", c.opts.Replications, "replications per cell (2 with -fast)")
+	budget := fs.Float64("budget", c.opts.MeasureBudget.SecondsF(), "Table-1 compute budget (seconds; 4 with -fast)")
 	fast := fs.Bool("fast", false, "scaled-down quick mode")
 	fs.BoolVar(&c.csv, "csv", false, "emit CSV tables")
 	fs.IntVar(&c.mix, "mix", 0, "restrict to one workload mix (1-6, 0 = all)")
@@ -114,9 +115,18 @@ func parse(args []string) (string, *cli, error) {
 	if *fast {
 		c.opts = experiments.FastOptions()
 	}
-	c.opts.Machine.Processors = *procs
-	c.opts.Replications = *reps
-	c.opts.MeasureBudget = simtime.Seconds(*budget)
+	// A flag overrides the preset only when given, so -fast keeps its own
+	// replications and budget.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "procs":
+			c.opts.Machine.Processors = *procs
+		case "reps":
+			c.opts.Replications = *reps
+		case "budget":
+			c.opts.MeasureBudget = simtime.Seconds(*budget)
+		}
+	})
 	c.common.Apply(&c.opts)
 	if err := c.opts.Validate(); err != nil {
 		return "", nil, err
@@ -151,12 +161,21 @@ func (c *cli) dispatch(cmd string) error {
 	case "characterize":
 		return c.characterize()
 	case "measure":
-		return c.measure()
+		_, err := c.measure()
+		return err
 	case "compare":
 		_, err := c.compare()
 		return err
 	case "future":
-		return c.future()
+		cr, err := experiments.RunCompare(context.Background(), c.opts, c.mix, c.policies())
+		if err != nil {
+			return err
+		}
+		t1, err := experiments.RunTable1(context.Background(), c.opts)
+		if err != nil {
+			return err
+		}
+		return c.future(cr, t1)
 	case "trace":
 		return c.trace()
 	case "extras":
@@ -165,13 +184,17 @@ func (c *cli) dispatch(cmd string) error {
 		if err := c.characterize(); err != nil {
 			return err
 		}
-		if err := c.measure(); err != nil {
+		// The future exhibit reuses the Table 1 and comparison campaigns
+		// the earlier exhibits ran.
+		t1, err := c.measure()
+		if err != nil {
 			return err
 		}
-		if _, err := c.compare(); err != nil {
+		cr, err := c.compare()
+		if err != nil {
 			return err
 		}
-		return c.future()
+		return c.future(cr, t1)
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
 }
@@ -264,19 +287,16 @@ func (c *cli) emit(t report.Table) error {
 	return nil
 }
 
-// campaign runs a registered campaign kind with the parsed options; with
-// -stats its simulation counters join the invocation's totals.
+// campaign runs a registered campaign kind without a simulation grid
+// (characterize, relatedwork) with the parsed options; with -stats its
+// simulation counters join the invocation's totals. Such a kind always
+// simulates, so -engine, which `all` accepts for its grid exhibits, does
+// not apply.
 func (c *cli) campaign(kind string) (any, error) {
 	camp, _ := experiments.CampaignByKind(kind)
-	return camp.Run(obs.WithCollector(context.Background(), c.opts.Stats), experiments.CampaignParams{
-		Procs:        c.opts.Machine.Processors,
-		Replications: c.opts.Replications,
-		BudgetSec:    c.opts.MeasureBudget.SecondsF(),
-		AppScale:     c.opts.AppScale,
-		Seed:         c.opts.Seed,
-		Workers:      c.opts.Workers,
-		Engine:       c.opts.Engine,
-	})
+	p := c.opts.Params()
+	p.Engine = ""
+	return camp.Run(obs.WithCollector(context.Background(), c.opts.Stats), p)
 }
 
 func (c *cli) characterize() error {
@@ -291,28 +311,17 @@ func (c *cli) characterize() error {
 	return c.emit(experiments.ProfileTable(chars))
 }
 
-func (c *cli) measure() error {
-	t1, err := experiments.Table1(c.opts)
+func (c *cli) measure() (measure.Table1, error) {
+	t1, err := experiments.RunTable1(context.Background(), c.opts)
 	if err != nil {
-		return err
+		return t1, err
 	}
 	for _, t := range experiments.Table1Report(t1) {
 		if err := c.emit(t); err != nil {
-			return err
+			return t1, err
 		}
 	}
-	return nil
-}
-
-func (c *cli) mixes() ([]workload.Mix, error) {
-	if c.mix == 0 {
-		return workload.Mixes(), nil
-	}
-	m, err := workload.MixByNumber(c.mix)
-	if err != nil {
-		return nil, err
-	}
-	return []workload.Mix{m}, nil
+	return t1, nil
 }
 
 func (c *cli) policies() []string {
@@ -324,11 +333,7 @@ func (c *cli) policies() []string {
 }
 
 func (c *cli) compare() (*experiments.CompareResult, error) {
-	mixes, err := c.mixes()
-	if err != nil {
-		return nil, err
-	}
-	cr, err := experiments.ComparePolicies(c.opts, mixes, c.policies())
+	cr, err := experiments.RunCompare(context.Background(), c.opts, c.mix, c.policies())
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +362,7 @@ func (c *cli) compare() (*experiments.CompareResult, error) {
 			return nil, err
 		}
 	}
-	for _, mix := range mixes {
+	for _, mix := range cr.Mixes {
 		if mix.Number == 5 || c.mix == mix.Number {
 			t3, err := cr.Table3Report(mix.Number, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 			if err != nil {
@@ -369,7 +374,7 @@ func (c *cli) compare() (*experiments.CompareResult, error) {
 		}
 	}
 	var homog []int
-	for _, mix := range mixes {
+	for _, mix := range cr.Mixes {
 		if mix.Homogeneous() {
 			homog = append(homog, mix.Number)
 		}
@@ -386,19 +391,8 @@ func (c *cli) compare() (*experiments.CompareResult, error) {
 	return cr, nil
 }
 
-func (c *cli) future() error {
-	mixes, err := c.mixes()
-	if err != nil {
-		return err
-	}
-	cr, err := experiments.ComparePolicies(c.opts, mixes, c.policies())
-	if err != nil {
-		return err
-	}
-	t1, err := experiments.Table1(c.opts)
-	if err != nil {
-		return err
-	}
+// future renders Figures 8-13 from a comparison and a Table 1 run.
+func (c *cli) future(cr *experiments.CompareResult, t1 measure.Table1) error {
 	scen, err := experiments.FutureScenarios(cr, t1)
 	if err != nil {
 		return err

@@ -2,6 +2,8 @@ package main
 
 import (
 	"testing"
+
+	"repro/internal/simtime"
 )
 
 func TestParse(t *testing.T) {
@@ -11,6 +13,21 @@ func TestParse(t *testing.T) {
 	}
 	if cmd != "compare" || c.mix != 5 || c.opts.Replications != 1 {
 		t.Fatalf("parse wrong: cmd=%q mix=%d reps=%d", cmd, c.mix, c.opts.Replications)
+	}
+	// -fast keeps its own replications and budget unless a flag is given.
+	_, c, err = parse([]string{"measure", "-fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.opts.Replications != 2 || c.opts.MeasureBudget != 4*simtime.Second {
+		t.Fatalf("-fast: reps=%d budget=%v, want 2 and 4s", c.opts.Replications, c.opts.MeasureBudget)
+	}
+	_, c, err = parse([]string{"compare", "-reps", "1", "-fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.opts.Replications != 1 || c.opts.MeasureBudget != 4*simtime.Second {
+		t.Fatalf("-reps 1 -fast: reps=%d budget=%v, want 1 and 4s", c.opts.Replications, c.opts.MeasureBudget)
 	}
 	if _, _, err := parse(nil); err == nil {
 		t.Error("missing subcommand accepted")

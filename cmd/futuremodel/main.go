@@ -26,14 +26,13 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 func main() {
 	common := cliflags.Register(flag.CommandLine)
 	common.RegisterEngine(flag.CommandLine)
 	procs := flag.Int("procs", 16, "number of processors")
-	reps := flag.Int("reps", 5, "replications per cell")
+	reps := flag.Int("reps", 5, "replications per cell (2 with -fast)")
 	fast := flag.Bool("fast", false, "scaled-down quick mode")
 	maxProduct := flag.Float64("maxproduct", 4096, "largest speed*cache product")
 	csv := flag.Bool("csv", false, "emit sweep data as CSV instead of charts")
@@ -51,16 +50,21 @@ func main() {
 		opts = experiments.FastOptions()
 	}
 	opts.Machine.Processors = *procs
-	opts.Replications = *reps
+	// -reps overrides the preset only when given, so -fast keeps its own.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "reps" {
+			opts.Replications = *reps
+		}
+	})
 	common.Apply(&opts)
 	stopProf, err := common.StartProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "futuremodel:", err)
 		os.Exit(1)
 	}
-	err = run(opts, *maxProduct, *csv)
+	scen, err := run(opts, *maxProduct, *csv)
 	if err == nil && *simulate {
-		err = runSimulated(opts)
+		err = runSimulated(opts, scen)
 	}
 	if err == nil {
 		err = common.WriteStats(os.Stdout)
@@ -76,44 +80,20 @@ func main() {
 
 // runSimulated re-runs mix #5 on directly scaled machines (the futuresim
 // campaign, with the same options as the model half) and prints the
-// simulated relative response times next to the analytic model's.
-func runSimulated(opts experiments.Options) error {
-	mix, err := workload.MixByNumber(5)
-	if err != nil {
-		return err
-	}
+// simulated relative response times next to the analytic model's, taken
+// from the scenarios run derived.
+func runSimulated(opts experiments.Options, scen map[experiments.ScenarioKey]model.Scenario) error {
 	policies := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
 	products := []float64{1, 16, 64, 256, 1024}
+	p := opts.Params()
+	p.Mix, p.Policies, p.Products = 5, policies, products
 	camp, _ := experiments.CampaignByKind("futuresim")
-	res, err := camp.Run(obs.WithCollector(context.Background(), opts.Stats), experiments.CampaignParams{
-		Procs:        opts.Machine.Processors,
-		Replications: opts.Replications,
-		AppScale:     opts.AppScale,
-		Seed:         opts.Seed,
-		Workers:      opts.Workers,
-		Engine:       opts.Engine,
-		Mix:          mix.Number,
-		Policies:     policies,
-		Products:     products,
-	})
+	res, err := camp.Run(obs.WithCollector(context.Background(), opts.Stats), p)
 	if err != nil {
 		return err
 	}
 	pts := res.(experiments.FutureSimCampaignResult).Points
 	// Model predictions for the same products.
-	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix},
-		append([]string{"Equipartition"}, policies...))
-	if err != nil {
-		return err
-	}
-	t1, err := experiments.Table1(opts)
-	if err != nil {
-		return err
-	}
-	scen, err := experiments.FutureScenarios(cr, t1)
-	if err != nil {
-		return err
-	}
 	sc := scen[experiments.ScenarioKey{Mix: 5, App: "GRAVITY"}]
 	modelRel := make(map[string][]float64)
 	for _, pol := range policies {
@@ -128,36 +108,39 @@ func runSimulated(opts experiments.Options) error {
 	return tab.Write(os.Stdout)
 }
 
-func run(opts experiments.Options, maxProduct float64, csv bool) error {
+// run derives the future model from a comparison over every mix and a
+// Table 1 run, renders Figures 8-13 (or their sweep data as CSV) and
+// the crossover table, and returns the model's scenarios.
+func run(opts experiments.Options, maxProduct float64, csv bool) (map[experiments.ScenarioKey]model.Scenario, error) {
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
-	cr, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, 0, policies)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.RunTable1(context.Background(), opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	scen, err := experiments.FutureScenarios(cr, t1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dyn := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
 
 	if csv {
-		return writeCSV(scen, dyn, maxProduct)
+		return scen, writeCSV(scen, dyn, maxProduct)
 	}
 	charts, err := experiments.FutureCharts(cr, scen, dyn, maxProduct)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, ch := range charts {
 		if err := ch.Write(os.Stdout); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Println()
 	}
-	return writeCrossovers(scen, dyn, maxProduct)
+	return scen, writeCrossovers(scen, dyn, maxProduct)
 }
 
 func sortedKeys(scen map[experiments.ScenarioKey]model.Scenario) []experiments.ScenarioKey {

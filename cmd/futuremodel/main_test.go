@@ -12,10 +12,10 @@ func TestRunFast(t *testing.T) {
 	}
 	opts := experiments.FastOptions()
 	opts.Replications = 1
-	if err := run(opts, 64, false); err != nil {
+	if _, err := run(opts, 64, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(opts, 64, true); err != nil {
+	if _, err := run(opts, 64, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,7 +23,7 @@ func TestRunFast(t *testing.T) {
 func TestRunRejectsBadOptions(t *testing.T) {
 	opts := experiments.FastOptions()
 	opts.Replications = 0
-	if err := run(opts, 64, false); err == nil {
+	if _, err := run(opts, 64, false); err == nil {
 		t.Error("zero replications accepted")
 	}
 }
@@ -34,7 +34,11 @@ func TestRunSimulatedFast(t *testing.T) {
 	}
 	opts := experiments.FastOptions()
 	opts.Replications = 1
-	if err := runSimulated(opts); err != nil {
+	scen, err := run(opts, 64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runSimulated(opts, scen); err != nil {
 		t.Fatal(err)
 	}
 }

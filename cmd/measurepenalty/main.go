@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +21,8 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/measure"
+	"repro/internal/memtrace"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/simtime"
 )
@@ -29,7 +32,7 @@ func main() {
 	common.RegisterEngine(flag.CommandLine)
 	budget := flag.Float64("budget", 20, "per-run compute budget (seconds)")
 	csv := flag.Bool("csv", false, "emit CSV")
-	detail := flag.Bool("detail", false, "print per-regime run details")
+	detail := flag.Bool("detail", false, "print per-regime run details (measures every cell a second time: about 2.2x the wall time)")
 	flag.Parse()
 	// Table 1 has no simulation grid: -engine exists for CLI uniformity
 	// but only the simulator tier is meaningful, and asking for another
@@ -62,7 +65,7 @@ func main() {
 }
 
 func run(opts experiments.Options, csv, detail bool) error {
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.RunTable1(context.Background(), opts)
 	if err != nil {
 		return err
 	}
@@ -79,12 +82,35 @@ func run(opts experiments.Options, csv, detail bool) error {
 		}
 	}
 	if detail {
-		return writeDetail(t1)
+		return writeDetail(opts, t1)
 	}
 	return nil
 }
 
-func writeDetail(t1 measure.Table1) error {
+// writeDetail re-measures every cell of t1 with measure.MeasureCell, the
+// function the table1 campaign's cells run, at the campaign's own
+// normalized budget and seed, on opts.Workers workers, and prints the
+// per-regime runs behind each penalty.
+func writeDetail(opts experiments.Options, t1 measure.Table1) error {
+	camp, _ := experiments.CampaignByKind("table1")
+	np, err := camp.Normalize(opts.Params())
+	if err != nil {
+		return err
+	}
+	mc := opts.Machine
+	mc.Processors = 1 // the paper's measurement uses a single processor
+	pats := memtrace.Patterns()
+	streams := measure.NewStreams(pats, simtime.Seconds(np.BudgetSec), np.Seed)
+	// One slot per (Q, measured application); idx = qi*len(pats) + pi.
+	pens := make([]measure.Penalties, len(t1.Qs)*len(pats))
+	err = parallel.ForEach(context.Background(), opts.Workers, len(pens), func(_ context.Context, idx int) error {
+		pen, err := measure.MeasureCell(mc, streams, idx%len(pats), t1.Qs[idx/len(pats)])
+		pens[idx] = pen
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	t := report.Table{
 		Title: "Per-regime run detail",
 		Headers: []string{"Q", "measured", "regime", "intervening",
@@ -101,15 +127,12 @@ func writeDetail(t1 measure.Table1) error {
 			fmt.Sprintf("%d", r.Misses),
 			report.F(ratio, 4))
 	}
-	for _, q := range t1.Qs {
-		for _, app := range t1.Apps {
-			pen := t1.Cells[q][app]
-			addRun(q, app, "-", pen.Stationary)
-			addRun(q, app, "-", pen.Migrating)
-			for _, iv := range t1.Apps {
-				if r, ok := pen.Multi[iv]; ok {
-					addRun(q, app, iv, r)
-				}
+	for _, pen := range pens {
+		addRun(pen.Q, pen.Measured, "-", pen.Stationary)
+		addRun(pen.Q, pen.Measured, "-", pen.Migrating)
+		for _, iv := range t1.Apps {
+			if r, ok := pen.Multi[iv]; ok {
+				addRun(pen.Q, pen.Measured, iv, r)
 			}
 		}
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -17,14 +18,13 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 func main() {
 	common := cliflags.Register(flag.CommandLine)
 	common.RegisterEngine(flag.CommandLine)
 	procs := flag.Int("procs", 16, "number of processors")
-	reps := flag.Int("reps", 5, "replications per cell")
+	reps := flag.Int("reps", 5, "replications per cell (2 with -fast)")
 	mixNo := flag.Int("mix", 0, "restrict to one workload mix (1-6, 0 = all)")
 	fast := flag.Bool("fast", false, "scaled-down quick mode")
 	csv := flag.Bool("csv", false, "emit CSV")
@@ -42,7 +42,12 @@ func main() {
 		opts = experiments.FastOptions()
 	}
 	opts.Machine.Processors = *procs
-	opts.Replications = *reps
+	// -reps overrides the preset only when given, so -fast keeps its own.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "reps" {
+			opts.Replications = *reps
+		}
+	})
 	common.Apply(&opts)
 	stopProf, err := common.StartProfiling()
 	if err != nil {
@@ -63,19 +68,11 @@ func main() {
 }
 
 func run(opts experiments.Options, mixNo int, csv, timeshare bool) error {
-	mixes := workload.Mixes()
-	if mixNo != 0 {
-		m, err := workload.MixByNumber(mixNo)
-		if err != nil {
-			return err
-		}
-		mixes = []workload.Mix{m}
-	}
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
 	if timeshare {
 		policies = append(policies, "TimeShare-RR")
 	}
-	cr, err := experiments.ComparePolicies(opts, mixes, policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, mixNo, policies)
 	if err != nil {
 		return err
 	}
@@ -110,7 +107,7 @@ func run(opts experiments.Options, mixNo int, csv, timeshare bool) error {
 	if err := emit(fig6); err != nil {
 		return err
 	}
-	for _, mix := range mixes {
+	for _, mix := range cr.Mixes {
 		if mix.Number == 5 || mixNo == mix.Number {
 			t3, err := cr.Table3Report(mix.Number, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 			if err != nil {
@@ -122,7 +119,7 @@ func run(opts experiments.Options, mixNo int, csv, timeshare bool) error {
 		}
 	}
 	var homog []int
-	for _, mix := range mixes {
+	for _, mix := range cr.Mixes {
 		if mix.Homogeneous() {
 			homog = append(homog, mix.Number)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -33,16 +33,12 @@ func main() {
 	}
 
 	// Step 1-2: measurements.
-	mix, err := workload.MixByNumber(5)
-	if err != nil {
-		log.Fatal(err)
-	}
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
-	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix}, policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, 5, policies)
 	if err != nil {
 		log.Fatal(err)
 	}
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.RunTable1(context.Background(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,13 +8,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -26,7 +26,7 @@ func main() {
 		opts = experiments.FastOptions()
 	}
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
-	cr, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, 0, policies)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -18,13 +19,12 @@ import (
 // round-trip check on the whole extraction pipeline).
 func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 	opts := experiments.FastOptions()
-	mix, _ := workload.MixByNumber(5)
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff"}
-	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix}, policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, 5, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.RunTable1(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 			n := 0
 			for _, js := range cr.Summaries[key.Mix][pol] {
 				if js.App == key.App {
-					measured += js.MeanRT()
+					measured += js.MeanRTSec
 					n++
 				}
 			}
@@ -58,8 +58,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	render := func() string {
 		opts := experiments.FastOptions()
 		opts.Replications = 1
-		mix, _ := workload.MixByNumber(5)
-		cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix},
+		cr, err := experiments.RunCompare(context.Background(), opts, 5,
 			[]string{"Equipartition", "Dynamic", "Dyn-Aff"})
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +90,7 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	opts.Replications = 1
 	opts.MeasureBudget = 10 * simtime.Second
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
-	cr, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+	cr, err := experiments.RunCompare(context.Background(), opts, 0, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +114,8 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	// Conclusion 2 (Table 3): the dynamic variants are nearly identical
 	// today, while their %affinity differs dramatically.
 	sums := cr.Summaries[5]
-	dynAffGap := math.Abs(sums["Dynamic"][1].MeanRT()-sums["Dyn-Aff"][1].MeanRT()) /
-		sums["Dynamic"][1].MeanRT()
+	dynAffGap := math.Abs(sums["Dynamic"][1].MeanRTSec-sums["Dyn-Aff"][1].MeanRTSec) /
+		sums["Dynamic"][1].MeanRTSec
 	if dynAffGap > 0.05 {
 		t.Errorf("Dynamic vs Dyn-Aff RT gap %.3f, want < 5%%", dynAffGap)
 	}
@@ -135,7 +134,7 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	// Conclusion 4 (Figs 8-13): Dynamic's relative RT rises with the
 	// speed×cache product and crosses 1.0; the affinity variants cross
 	// later or not at all.
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.RunTable1(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

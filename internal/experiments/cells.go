@@ -34,8 +34,10 @@ import (
 //  2. Partials carry enough raw precision for the merge to perform each
 //     lossy conversion (simtime.Duration -> float microseconds, ratio
 //     against a baseline) exactly once. Replication means are folded in
-//     replication order inside the cell, exactly as the whole-grid
-//     drivers (ComparePolicies, Table1) accumulate them.
+//     replication order inside the cell (ComparePoliciesCtx's summarize).
+//     A merged wire result converts back, exactly, into the views the
+//     exhibits render (CompareResultFrom, Table1From); the future merge
+//     reads its inputs through those same conversions.
 //  3. Key params exclude Workers (results are bitwise identical at every
 //     worker count) and exclude the grid lists themselves (a cell's
 //     identity is its own coordinates, so supersets reuse subsets).
@@ -223,13 +225,22 @@ type table1CellPartial struct {
 }
 
 func table1CellPlan(np CampaignParams) (*CellPlan, error) {
-	if _, err := np.options(); err != nil {
+	opts, err := np.options()
+	if err != nil {
 		return nil, err
 	}
-	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
-	// BuildTable1Ctx layout) already lists QsMs in ascending order.
+	// DefaultQs is ascending, so cell order (q-major, pattern-minor)
+	// already lists QsMs in ascending order.
 	qs := measure.DefaultQs()
-	names := patternNames()
+	pats := memtrace.Patterns()
+	names := make([]string, len(pats))
+	for i, p := range pats {
+		names[i] = p.Name
+	}
+	// The grid's six streams are built once per plan and shared by its
+	// cells, at any budget; a plan that runs only some of its cells (a
+	// fleet worker runs one) builds only the streams those cells read.
+	streams := measure.NewStreams(pats, opts.MeasureBudget, opts.Seed)
 	plan := &CellPlan{Kind: "table1", Params: np}
 	for qi := range qs {
 		for pi := range names {
@@ -254,8 +265,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 					}
 					mc := o.Machine
 					mc.Processors = 1 // the paper's measurement uses a single processor
-					pats := memtrace.Patterns()
-					pen, err := measure.MeasureCell(mc, pats, pi, qs[qi], o.MeasureBudget, o.Seed)
+					pen, err := measure.MeasureCell(mc, streams, pi, qs[qi])
 					if err != nil {
 						return nil, err
 					}
@@ -297,48 +307,11 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 				}
 				cells[app] = cell
 			}
-			out.Cells[fmt.Sprintf("%g", q.Millis())] = cells
+			out.Cells[table1QKey(q.Millis())] = cells
 		}
 		return out, nil
 	}
 	return plan, nil
-}
-
-func patternNames() []string {
-	pats := memtrace.Patterns()
-	names := make([]string, len(pats))
-	for i, p := range pats {
-		names[i] = p.Name
-	}
-	return names
-}
-
-// table1MeasureCells rebuilds a measure.Table1 from table1 cell partials
-// laid out q-major: parts[qi*len(names)+pi]. Only the fields the future
-// kind's parameter extraction reads (PNA, PA) are populated.
-func table1MeasureCells(qs []simtime.Duration, names []string, parts []table1CellPartial) measure.Table1 {
-	t1 := measure.Table1{
-		Qs:    qs,
-		Apps:  append([]string(nil), names...),
-		Cells: make(map[simtime.Duration]map[string]measure.Penalties, len(qs)),
-	}
-	for qi, q := range qs {
-		t1.Cells[q] = make(map[string]measure.Penalties, len(names))
-		for pi, app := range names {
-			part := parts[qi*len(names)+pi]
-			pen := measure.Penalties{
-				Measured: app,
-				Q:        q,
-				PNA:      simtime.Duration(part.PNARaw),
-				PA:       make(map[string]simtime.Duration, len(part.PARaw)),
-			}
-			for iv, raw := range part.PARaw {
-				pen.PA[iv] = simtime.Duration(raw)
-			}
-			t1.Cells[q][app] = pen
-		}
-	}
-	return t1
 }
 
 // ---- compare (shared with future) --------------------------------------
@@ -360,24 +333,10 @@ type compareCellKey struct {
 	Engine string `json:"engine"`
 }
 
-// compareCellJob is one job's replication-averaged outcome within a
-// compare cell; fields mirror CompareCampaignRow minus the cross-cell
-// RelRT, which the merge derives.
-type compareCellJob struct {
-	App           string  `json:"app"`
-	MeanRTSec     float64 `json:"mean_rt_sec"`
-	WorkSec       float64 `json:"work_sec"`
-	WasteSec      float64 `json:"waste_sec"`
-	MissSec       float64 `json:"miss_sec"`
-	SwitchSec     float64 `json:"switch_sec"`
-	AvgAlloc      float64 `json:"avg_alloc"`
-	Reallocations float64 `json:"reallocations"`
-	PctAffinity   float64 `json:"pct_affinity"`
-	IntervalMs    float64 `json:"realloc_interval_ms"`
-}
-
+// compareCellPartial is one (mix, policy) cell's per-job summaries; the
+// merge derives the cross-cell RelRT.
 type compareCellPartial struct {
-	Jobs []compareCellJob `json:"jobs"`
+	Jobs []JobSummary `json:"jobs"`
 }
 
 // compareCellList builds the (mix, policy) cells for the given grid,
@@ -428,23 +387,7 @@ func compareCellList(np CampaignParams, mixNumbers []int, policies []string) ([]
 					if err != nil {
 						return nil, err
 					}
-					sums := cr.Summaries[mixNum][pol]
-					part := compareCellPartial{Jobs: make([]compareCellJob, len(sums))}
-					for ji, js := range sums {
-						part.Jobs[ji] = compareCellJob{
-							App:           js.App,
-							MeanRTSec:     js.MeanRT(),
-							WorkSec:       js.WorkSec,
-							WasteSec:      js.WasteSec,
-							MissSec:       js.MissSec,
-							SwitchSec:     js.SwitchSec,
-							AvgAlloc:      js.AvgAlloc,
-							Reallocations: js.Reallocations,
-							PctAffinity:   js.PctAffinity,
-							IntervalMs:    js.IntervalMs,
-						}
-					}
-					return part, nil
+					return compareCellPartial{Jobs: cr.Summaries[mixNum][pol]}, nil
 				},
 			})
 		}
@@ -478,21 +421,7 @@ func compareMergeRows(mixNumbers []int, policies []string, parts []compareCellPa
 		for pi, pol := range policies {
 			part := parts[mi*len(policies)+pi]
 			for ji, job := range part.Jobs {
-				row := CompareCampaignRow{
-					Mix:           mixNum,
-					Policy:        pol,
-					Job:           ji,
-					App:           job.App,
-					MeanRTSec:     job.MeanRTSec,
-					WorkSec:       job.WorkSec,
-					WasteSec:      job.WasteSec,
-					MissSec:       job.MissSec,
-					SwitchSec:     job.SwitchSec,
-					AvgAlloc:      job.AvgAlloc,
-					Reallocations: job.Reallocations,
-					PctAffinity:   job.PctAffinity,
-					IntervalMs:    job.IntervalMs,
-				}
+				row := CompareCampaignRow{Mix: mixNum, Policy: pol, Job: ji, JobSummary: job}
 				if hasBaseline {
 					row.RelRT = stats.Ratio(job.MeanRTSec, base.Jobs[ji].MeanRTSec)
 				}
@@ -537,22 +466,23 @@ func compareCellPlan(np CampaignParams) (*CellPlan, error) {
 
 // ---- future ------------------------------------------------------------
 
-// futureCellPlan reuses the compare and table1 cell shapes: the future
+// futureCellPlan reuses the compare and table1 cell plans: the future
 // kind's simulation grid is workload.Mixes() x withBaseline(policies)
 // compare cells followed by the table1 measurement cells, so a prior
 // compare or table1 campaign (or another future run with an overlapping
-// policy list) seeds its cache entries. The merge reconstructs the
-// CompareResult and measure.Table1 that the Section-7.3 parameter
-// extraction reads, then runs the analytic sweep — pure float math on
-// the cells' values.
+// policy list) seeds its cache entries. The merge is the compare merge,
+// then the table1 merge, then the conversions every exhibit renders from
+// (CompareResultFrom, Table1From), then the Section-7.3 parameter
+// extraction and the analytic sweep — pure float math on the cells'
+// values.
 func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 	opts, err := np.options()
 	if err != nil {
 		return nil, err
 	}
-	cols := withBaseline(np.Policies)
-	mixNumbers := allMixNumbers()
-	compareCells, err := compareCellList(np, mixNumbers, cols)
+	cp := np
+	cp.Policies = withBaseline(np.Policies)
+	cmpPlan, err := compareCellPlan(cp)
 	if err != nil {
 		return nil, err
 	}
@@ -560,55 +490,25 @@ func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &CellPlan{Kind: "future", Params: np, Cells: append(compareCells, t1Plan.Cells...)}
-	nc := len(compareCells)
-	qs := measure.DefaultQs()
-	names := patternNames()
+	nc := len(cmpPlan.Cells)
+	plan := &CellPlan{Kind: "future", Params: np, Cells: append(cmpPlan.Cells[:nc:nc], t1Plan.Cells...)}
 	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
-		cparts, err := decodeParts[compareCellPartial](raws[:nc])
+		cres, err := cmpPlan.merge(ctx, raws[:nc])
 		if err != nil {
 			return nil, err
 		}
-		tparts, err := decodeParts[table1CellPartial](raws[nc:])
+		tres, err := t1Plan.merge(ctx, raws[nc:])
 		if err != nil {
 			return nil, err
 		}
-		// Rebuild the CompareResult the scenario extraction reads. Each
-		// job's RT sample holds the one value the extraction takes the
-		// mean of — the cell's replication-averaged mean itself, whose
-		// single-value mean is exact.
-		mixes := workload.Mixes()
-		cr := &CompareResult{
-			Opts:      opts,
-			Mixes:     mixes,
-			Policies:  cols,
-			Summaries: make(map[int]map[string][]JobSummary, len(mixes)),
+		cr, err := CompareResultFrom(opts, cres.(CompareCampaignResult))
+		if err != nil {
+			return nil, err
 		}
-		for mi, mix := range mixes {
-			cr.Summaries[mix.Number] = make(map[string][]JobSummary, len(cols))
-			for ci, col := range cols {
-				part := cparts[mi*len(cols)+ci]
-				sums := make([]JobSummary, len(part.Jobs))
-				for ji, job := range part.Jobs {
-					rt := &stats.Sample{}
-					rt.Add(job.MeanRTSec)
-					sums[ji] = JobSummary{
-						App:           job.App,
-						RT:            rt,
-						WorkSec:       job.WorkSec,
-						WasteSec:      job.WasteSec,
-						MissSec:       job.MissSec,
-						SwitchSec:     job.SwitchSec,
-						AvgAlloc:      job.AvgAlloc,
-						Reallocations: job.Reallocations,
-						PctAffinity:   job.PctAffinity,
-						IntervalMs:    job.IntervalMs,
-					}
-				}
-				cr.Summaries[mix.Number][col] = sums
-			}
+		t1, err := Table1From(tres.(Table1CampaignResult))
+		if err != nil {
+			return nil, err
 		}
-		t1 := table1MeasureCells(qs, names, tparts)
 		scen, err := FutureScenarios(cr, t1)
 		if err != nil {
 			return nil, err

@@ -23,15 +23,11 @@ type CompareResult struct {
 	Summaries map[int]map[string][]JobSummary
 }
 
-// ComparePolicies schedules every mix under every policy, replicated with
-// distinct seeds, and aggregates per-job metrics. It is ComparePoliciesCtx
-// without cancellation.
-func ComparePolicies(opts Options, mixes []workload.Mix, policies []string) (*CompareResult, error) {
-	return ComparePoliciesCtx(context.Background(), opts, mixes, policies)
-}
-
-// ComparePoliciesCtx runs the comparison campaign, fanning the individual
-// (mix, policy, replication) simulation cells out over opts.Workers worker
+// ComparePoliciesCtx schedules every mix under every policy, replicated
+// with distinct seeds, and aggregates per-job metrics. It is the compare
+// cell's engine, which runs it on one (mix, policy) coordinate; exhibits
+// reach it through RunCompare. It fans the individual
+// (mix, policy, replication) simulation runs out over opts.Workers worker
 // goroutines. Each cell's seed is parallel.CellSeed(opts.Seed, mix number,
 // replication) — a pure function of the cell's grid coordinates — and
 // results are merged in grid order after all cells finish, so the output is
@@ -78,9 +74,9 @@ func ComparePoliciesCtx(ctx context.Context, opts Options, mixes []workload.Mix,
 			return fmt.Errorf("experiments: unknown policy %q", polName)
 		}
 		// Resolve the engine tier from the cell's canonical coordinate —
-		// the same resolution the cell planner performs, so a whole-grid
-		// call and a single-coordinate compare cell agree bit for bit
-		// under engine=auto.
+		// the same resolution the cell planner performs, so a multi-
+		// coordinate call and a single-coordinate compare cell agree bit
+		// for bit under engine=auto.
 		engine := resolveCellEngine(opts.engine(), compareCellCoord(
 			opts.Machine.Processors, R, opts.AppScale, opts.Seed, mix.Number, polName))
 		res, err := runCell(engine, sched.Config{
@@ -125,18 +121,20 @@ func ComparePoliciesCtx(ctx context.Context, opts Options, mixes []workload.Mix,
 }
 
 // summarize aggregates one cell's replications, in replication order.
+// Response times are summed in that order and divided once by the
+// replication count.
 func summarize(runs []sched.Result, reps int) []JobSummary {
 	var sums []JobSummary
 	for _, res := range runs {
 		if sums == nil {
 			sums = make([]JobSummary, len(res.Jobs))
 			for i := range sums {
-				sums[i] = JobSummary{App: res.Jobs[i].App, RT: &stats.Sample{}}
+				sums[i].App = res.Jobs[i].App
 			}
 		}
 		for i, j := range res.Jobs {
 			s := &sums[i]
-			s.RT.Add(j.ResponseTime.SecondsF())
+			s.MeanRTSec += j.ResponseTime.SecondsF()
 			n := float64(reps)
 			s.WorkSec += j.Work.SecondsF() / n
 			s.WasteSec += j.Waste.SecondsF() / n
@@ -148,7 +146,58 @@ func summarize(runs []sched.Result, reps int) []JobSummary {
 			s.IntervalMs += j.ReallocInterval().Millis() / n
 		}
 	}
+	for i := range sums {
+		sums[i].MeanRTSec /= float64(len(runs))
+	}
 	return sums
+}
+
+// RunCompare runs the compare campaign under opts over one mix (0 = all
+// six) and the given policies (nil = the kind's default list), and
+// converts its result into the view the exhibits render. With opts.Stats
+// set, the campaign's simulation counters fold into it.
+func RunCompare(ctx context.Context, opts Options, mix int, policies []string) (*CompareResult, error) {
+	p := opts.Params()
+	p.Mix, p.Policies = mix, policies
+	res, err := runCampaign(ctx, "compare", opts, p)
+	if err != nil {
+		return nil, err
+	}
+	return CompareResultFrom(opts, res.(CompareCampaignResult))
+}
+
+// CompareResultFrom converts a compare campaign's wire result into the
+// CompareResult the Section-6 and Section-7 exhibits read. The
+// conversion is exact: each row carries its cell's replication means,
+// and JSON round-trips a float64 bit for bit. opts supplies what the
+// wire result leaves out: the machine and extraction Q the future model
+// reads, and the worker bound of its sweep.
+func CompareResultFrom(opts Options, res CompareCampaignResult) (*CompareResult, error) {
+	cr := &CompareResult{
+		Opts:      opts,
+		Policies:  res.Policies,
+		Summaries: make(map[int]map[string][]JobSummary, len(res.Mixes)),
+	}
+	for _, n := range res.Mixes {
+		mix, err := workload.MixByNumber(n)
+		if err != nil {
+			return nil, err
+		}
+		cr.Mixes = append(cr.Mixes, mix)
+		cr.Summaries[n] = make(map[string][]JobSummary, len(res.Policies))
+	}
+	for _, row := range res.Rows {
+		bypol, ok := cr.Summaries[row.Mix]
+		if !ok {
+			return nil, fmt.Errorf("experiments: compare row for unlisted mix #%d", row.Mix)
+		}
+		// A policy listed twice repeats its rows; keep one copy.
+		if row.Job != len(bypol[row.Policy]) {
+			continue
+		}
+		bypol[row.Policy] = append(bypol[row.Policy], row.JobSummary)
+	}
+	return cr, nil
 }
 
 // Relative returns each job's mean response time under policy divided by
@@ -168,7 +217,7 @@ func (cr *CompareResult) Relative(mixNumber int, policy, baseline string) ([]flo
 	}
 	out := make([]float64, len(ps))
 	for i := range ps {
-		out[i] = stats.Ratio(ps[i].MeanRT(), bs[i].MeanRT())
+		out[i] = stats.Ratio(ps[i].MeanRTSec, bs[i].MeanRTSec)
 	}
 	return out, nil
 }
@@ -236,7 +285,7 @@ func (cr *CompareResult) Table3Report(mixNumber int, policies []string) (report.
 	addRow("%affinity", func(js JobSummary) string { return report.Pct(js.PctAffinity) })
 	addRow("#reallocations", func(js JobSummary) string { return report.F(js.Reallocations, 0) })
 	addRow("realloc interval (ms)", func(js JobSummary) string { return report.F(js.IntervalMs, 0) })
-	addRow("response time (s)", func(js JobSummary) string { return report.F(js.MeanRT(), 1) })
+	addRow("response time (s)", func(js JobSummary) string { return report.F(js.MeanRTSec, 1) })
 	return t, nil
 }
 
@@ -260,7 +309,7 @@ func (cr *CompareResult) Table4Report(mixNumbers []int, policyA, policyB string)
 			}
 			total := 0.0
 			for _, js := range sums {
-				total += js.MeanRT()
+				total += js.MeanRTSec
 			}
 			return total / float64(len(sums)), nil
 		}

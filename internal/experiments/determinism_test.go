@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/workload"
 )
 
 // The campaign runner's core guarantee: results are a pure function of the
@@ -24,13 +23,12 @@ func determinismOpts() Options {
 }
 
 func TestComparePoliciesDeterministicAcrossWorkers(t *testing.T) {
-	mixes := workload.Mixes()[:3]
 	policies := []string{"Equipartition", "Dyn-Aff"}
 	run := func(workers int) *CompareResult {
 		t.Helper()
 		o := determinismOpts()
 		o.Workers = workers
-		cr, err := ComparePoliciesCtx(context.Background(), o, mixes, policies)
+		cr, err := RunCompare(context.Background(), o, 0, policies)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -38,22 +36,21 @@ func TestComparePoliciesDeterministicAcrossWorkers(t *testing.T) {
 	}
 	seq, par := run(1), run(8)
 	if !reflect.DeepEqual(seq.Summaries, par.Summaries) {
-		t.Fatal("ComparePolicies summaries differ between Workers=1 and Workers=8")
+		t.Fatal("compare summaries differ between Workers=1 and Workers=8")
 	}
 }
 
 func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
-	mixes := workload.Mixes()[:2]
 	policies := []string{"Equipartition", "Dyn-Aff"}
 	run := func(workers int) map[ScenarioKey]interface{} {
 		t.Helper()
 		o := determinismOpts()
 		o.Workers = workers
-		cr, err := ComparePoliciesCtx(context.Background(), o, mixes, policies)
+		cr, err := RunCompare(context.Background(), o, 0, policies)
 		if err != nil {
 			t.Fatalf("workers=%d: compare: %v", workers, err)
 		}
-		t1, err := Table1Ctx(context.Background(), o)
+		t1, err := RunTable1(context.Background(), o)
 		if err != nil {
 			t.Fatalf("workers=%d: table1: %v", workers, err)
 		}
@@ -135,17 +132,16 @@ func TestCampaignRunStatsDeterministicAcrossWorkers(t *testing.T) {
 // workers. Stats are folded in grid order after the parallel phase, so
 // this holds by construction; the test pins it.
 func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
-	mixes := workload.Mixes()[:3]
 	policies := []string{"Equipartition", "Dyn-Aff"}
 	run := func(workers int) obs.CampaignSnapshot {
 		t.Helper()
 		o := determinismOpts()
 		o.Workers = workers
 		o.Stats = obs.NewCampaignStats()
-		if _, err := ComparePoliciesCtx(context.Background(), o, mixes, policies); err != nil {
+		if _, err := RunCompare(context.Background(), o, 0, policies); err != nil {
 			t.Fatalf("workers=%d: compare: %v", workers, err)
 		}
-		if _, err := Table1Ctx(context.Background(), o); err != nil {
+		if _, err := RunTable1(context.Background(), o); err != nil {
 			t.Fatalf("workers=%d: table1: %v", workers, err)
 		}
 		return o.Stats.Snapshot()
@@ -172,7 +168,7 @@ func TestComparePoliciesCancellation(t *testing.T) {
 	cancel()
 	o := determinismOpts()
 	o.Workers = 4
-	if _, err := ComparePoliciesCtx(ctx, o, workload.Mixes()[:1], []string{"Equipartition"}); err == nil {
+	if _, err := RunCompare(ctx, o, 1, []string{"Equipartition"}); err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
 }

@@ -13,10 +13,12 @@
 //   - futuresim    → Section 7 (directly simulated future machines)
 //   - relatedwork  → Section 8 (time sharing vs space sharing)
 //
-// The whole-grid drivers ComparePolicies and Table1 remain for the
-// exhibits that need more than a campaign's wire result (per-regime
-// measurements, per-job summaries); the compare cell runs
-// ComparePolicies on its single coordinate.
+// The CLIs, examples and benchmarks render their exhibits from served
+// campaigns too: RunCompare and RunTable1 run the compare and table1
+// campaigns and convert the wire results, exactly, into the views the
+// renderers take (CompareResult, measure.Table1). The future kind derives
+// its model from the same two conversions. ComparePoliciesCtx is the
+// compare cell's engine, run on the cell's single coordinate.
 package experiments
 
 import (
@@ -25,7 +27,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -152,22 +153,18 @@ func (o Options) apps(m workload.Mix, seed uint64) []workload.App {
 }
 
 // JobSummary aggregates one job's metrics across replications of one
-// (mix, policy) cell.
+// (mix, policy) cell; it is also the compare cell's partial, one per job.
 type JobSummary struct {
 	// App names the application type.
-	App string
-	// RT collects per-replication response times in seconds.
-	RT *stats.Sample
+	App string `json:"app"`
 	// The remaining fields are replication means.
-	WorkSec       float64 // processor-seconds of compute
-	WasteSec      float64 // processor-seconds held idle
-	MissSec       float64 // processor-seconds stalled on misses
-	SwitchSec     float64 // processor-seconds of switch overhead
-	AvgAlloc      float64
-	Reallocations float64
-	PctAffinity   float64
-	IntervalMs    float64 // mean per-processor reallocation interval
+	MeanRTSec     float64 `json:"mean_rt_sec"` // response time
+	WorkSec       float64 `json:"work_sec"`    // processor-seconds of compute
+	WasteSec      float64 `json:"waste_sec"`   // processor-seconds held idle
+	MissSec       float64 `json:"miss_sec"`    // processor-seconds stalled on misses
+	SwitchSec     float64 `json:"switch_sec"`  // processor-seconds of switch overhead
+	AvgAlloc      float64 `json:"avg_alloc"`
+	Reallocations float64 `json:"reallocations"`
+	PctAffinity   float64 `json:"pct_affinity"`
+	IntervalMs    float64 `json:"realloc_interval_ms"` // mean per-processor reallocation interval
 }
-
-// MeanRT returns the mean response time in seconds.
-func (s JobSummary) MeanRT() float64 { return s.RT.Mean() }

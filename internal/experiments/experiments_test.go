@@ -104,7 +104,7 @@ func TestCharacterize(t *testing.T) {
 
 func TestTable1SmallBudget(t *testing.T) {
 	opts := FastOptions()
-	t1, err := Table1(opts)
+	t1, err := RunTable1(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTable1SmallBudget(t *testing.T) {
 
 func TestPenaltyFor(t *testing.T) {
 	opts := FastOptions()
-	t1, err := Table1(opts)
+	t1, err := RunTable1(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +154,13 @@ func TestPenaltyFor(t *testing.T) {
 // qualitative conclusions hold.
 func TestPipelineQualitative(t *testing.T) {
 	opts := FastOptions()
-	mixes := []workload.Mix{
-		{Number: 4, Gravity: 2},
-		{Number: 5, Matrix: 1, Gravity: 1},
-	}
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
-	cr, err := ComparePolicies(opts, mixes, policies)
+	cr, err := RunCompare(context.Background(), opts, 0, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The conclusions below are checked on mixes #4 and #5.
+	mixes := []workload.Mix{cr.Mixes[3], cr.Mixes[4]}
 
 	// Paper conclusion 1: dynamic policies beat (or at worst match)
 	// Equipartition on mean response time.
@@ -222,7 +220,7 @@ func TestPipelineQualitative(t *testing.T) {
 	}
 
 	// Future extrapolation end to end.
-	t1, err := Table1(opts)
+	t1, err := RunTable1(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +246,8 @@ func TestPipelineQualitative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(charts) != len(mixes) {
-		t.Fatalf("charts = %d, want %d", len(charts), len(mixes))
+	if len(charts) != len(cr.Mixes) {
+		t.Fatalf("charts = %d, want %d", len(charts), len(cr.Mixes))
 	}
 	for _, ch := range charts {
 		if err := ch.Write(&b); err != nil {
@@ -260,24 +258,38 @@ func TestPipelineQualitative(t *testing.T) {
 
 func TestCompareErrors(t *testing.T) {
 	opts := FastOptions()
-	if _, err := ComparePolicies(opts, nil, []string{"Dynamic"}); err == nil {
+	ctx := context.Background()
+	// The compare cell's engine validates its grid.
+	if _, err := ComparePoliciesCtx(ctx, opts, nil, []string{"Dynamic"}); err == nil {
 		t.Error("no mixes accepted")
 	}
-	if _, err := ComparePolicies(opts, workload.Mixes()[:1], nil); err == nil {
+	if _, err := ComparePoliciesCtx(ctx, opts, workload.Mixes()[:1], nil); err == nil {
 		t.Error("no policies accepted")
 	}
-	if _, err := ComparePolicies(opts, workload.Mixes()[:1], []string{"bogus"}); err == nil {
+	if _, err := ComparePoliciesCtx(ctx, opts, workload.Mixes()[:1], []string{"bogus"}); err == nil {
 		t.Error("bogus policy accepted")
 	}
 	mix := workload.Mix{Number: 9}
-	if _, err := ComparePolicies(opts, []workload.Mix{mix}, []string{"Dynamic"}); err == nil {
+	if _, err := ComparePoliciesCtx(ctx, opts, []workload.Mix{mix}, []string{"Dynamic"}); err == nil {
 		t.Error("empty mix accepted")
+	}
+	// So does the campaign the exhibits run.
+	if _, err := RunCompare(ctx, opts, 1, []string{"bogus"}); err == nil {
+		t.Error("campaign accepted a bogus policy")
+	}
+	if _, err := RunCompare(ctx, opts, 9, []string{"Dynamic"}); err == nil {
+		t.Error("campaign accepted mix #9")
+	}
+	bad := opts
+	bad.Replications = 0
+	if _, err := RunCompare(ctx, bad, 1, []string{"Dynamic"}); err == nil {
+		t.Error("campaign accepted zero replications")
 	}
 }
 
 func TestRelativeErrors(t *testing.T) {
 	opts := FastOptions()
-	cr, err := ComparePolicies(opts, []workload.Mix{{Number: 1, MVA: 2}}, []string{"Equipartition", "Dynamic"})
+	cr, err := RunCompare(context.Background(), opts, 1, []string{"Equipartition", "Dynamic"})
 	if err != nil {
 		t.Fatal(err)
 	}

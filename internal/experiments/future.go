@@ -60,15 +60,16 @@ func FutureScenarios(cr *CompareResult, t1 measure.Table1) (map[ScenarioKey]mode
 					if js.App != app {
 						continue
 					}
+					if n == 0 {
+						// The first job of the type supplies the response time.
+						agg.MeanRTSec = js.MeanRTSec
+					}
 					n++
 					agg.WasteSec += js.WasteSec
 					agg.AvgAlloc += js.AvgAlloc
 					agg.Reallocations += js.Reallocations
 					agg.PctAffinity += js.PctAffinity
 					agg.IntervalMs += js.IntervalMs
-					if agg.RT == nil {
-						agg.RT = js.RT
-					}
 				}
 				if n == 0 {
 					continue
@@ -86,7 +87,7 @@ func FutureScenarios(cr *CompareResult, t1 measure.Table1) (map[ScenarioKey]mode
 					q = simtime.Duration(agg.IntervalMs * float64(simtime.Millisecond))
 				}
 				pa, pna := PenaltyFor(t1, app, intervening, q)
-				rt := agg.RT.Mean()
+				rt := agg.MeanRTSec
 				penalty := agg.PctAffinity*pa + (1-agg.PctAffinity)*pna
 				work := rt*agg.AvgAlloc - agg.WasteSec - agg.Reallocations*(switchSec+penalty)
 				if work <= 0 {

@@ -110,6 +110,45 @@ func (p CampaignParams) options() (Options, error) {
 	return o, nil
 }
 
+// Params returns the campaign parameters under which Campaign.Run runs
+// with o's processor count, replications, measurement budget, app scale,
+// seed, workers and engine — the one mapping from a CLI's options to a
+// campaign. A zero Seed maps to the default seed 1. The other Options
+// fields (the rest of Machine, ExtractionQ) have no wire form and take
+// their DefaultOptions values in a campaign; Stats rides in the context
+// (runCampaign).
+func (o Options) Params() CampaignParams {
+	return CampaignParams{
+		Procs:        o.Machine.Processors,
+		Replications: o.Replications,
+		BudgetSec:    o.MeasureBudget.SecondsF(),
+		AppScale:     o.AppScale,
+		Seed:         o.Seed,
+		Workers:      o.Workers,
+		Engine:       o.Engine,
+	}
+}
+
+// runCampaign runs the campaign kind with params p, derived from opts,
+// folding its simulation counters into opts.Stats when that is set. It
+// validates opts as given, and refuses a machine the campaign would not
+// run, rather than let the mapping drop them silently.
+func runCampaign(ctx context.Context, kind string, opts Options, p CampaignParams) (any, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if back, err := p.options(); err != nil {
+		return nil, err
+	} else if back.Machine != opts.Machine {
+		return nil, fmt.Errorf("experiments: %s campaigns run the default machine; only its processor count can change", kind)
+	}
+	camp, ok := CampaignByKind(kind)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown campaign kind %q", kind)
+	}
+	return camp.Run(obs.WithCollector(ctx, opts.Stats), p)
+}
+
 // optionsCtx is options plus the context's stats collector (if any): a
 // caller that wrapped ctx with obs.WithCollector — the daemon does, per
 // job — gets per-run simulation stats folded into it as the campaign
@@ -330,11 +369,11 @@ func CampaignByKind(kind string) (Campaign, bool) {
 
 // ---- JSON result shapes ------------------------------------------------
 //
-// Campaign results are explicit wire structs rather than the drivers'
-// internal types: internal types carry unexported state (stats.Sample),
-// simulation-unit fields, and map keys that are not strings. The wire
-// structs hold only strings, numbers, slices and string-keyed maps, so
-// report.CanonicalJSON over them is total and byte-stable.
+// Campaign results are explicit wire structs rather than the exhibits'
+// views (CompareResult, measure.Table1): the views carry simulation-unit
+// fields and map keys that are not strings. The wire structs hold only
+// strings, numbers, slices and string-keyed maps, so report.CanonicalJSON
+// over them is total and byte-stable.
 
 // Table1CampaignResult is the table1 kind's result.
 type Table1CampaignResult struct {
@@ -362,22 +401,15 @@ type CharacterizeCampaignResult struct {
 // CompareCampaignRow is one (mix, policy, job) outcome of the compare
 // kind, in replication-averaged units.
 type CompareCampaignRow struct {
-	Mix       int     `json:"mix"`
-	Policy    string  `json:"policy"`
-	Job       int     `json:"job"`
-	App       string  `json:"app"`
-	MeanRTSec float64 `json:"mean_rt_sec"`
+	Mix    int    `json:"mix"`
+	Policy string `json:"policy"`
+	Job    int    `json:"job"`
 	// RelRT is MeanRTSec divided by the same job's Equipartition mean;
 	// 0 when Equipartition is not in the policy list.
-	RelRT         float64 `json:"rel_rt,omitempty"`
-	WorkSec       float64 `json:"work_sec"`
-	WasteSec      float64 `json:"waste_sec"`
-	MissSec       float64 `json:"miss_sec"`
-	SwitchSec     float64 `json:"switch_sec"`
-	AvgAlloc      float64 `json:"avg_alloc"`
-	Reallocations float64 `json:"reallocations"`
-	PctAffinity   float64 `json:"pct_affinity"`
-	IntervalMs    float64 `json:"realloc_interval_ms"`
+	RelRT float64 `json:"rel_rt,omitempty"`
+	// JobSummary is the job's compare cell partial; its fields encode
+	// inline.
+	JobSummary
 }
 
 // CompareCampaignResult is the compare kind's result: rows ordered by

@@ -2,63 +2,84 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/measure"
-	"repro/internal/memtrace"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/simtime"
 )
 
-// Table1 runs the Section-4 penalty measurement protocol over the three
-// applications and the paper's three rescheduling intervals, producing the
-// data behind the paper's Table 1. It is Table1Ctx without cancellation.
-func Table1(opts Options) (measure.Table1, error) {
-	return Table1Ctx(context.Background(), opts)
-}
-
-// Table1Ctx is Table1 with cancellation; the (Q, application) measurement
-// cells run on opts.Workers workers.
-func Table1Ctx(ctx context.Context, opts Options) (measure.Table1, error) {
-	if err := opts.Validate(); err != nil {
+// RunTable1 runs the table1 campaign under opts and converts its result
+// into the measure.Table1 that Table1Report and the future model read.
+// With opts.Stats set, the campaign's counters fold into it. Table 1 is
+// always measured, so opts.Engine does not apply, as in the future plan's
+// table1 cells: a caller running the future pipeline under an analytic
+// engine gets its compare half from that engine and this table measured.
+func RunTable1(ctx context.Context, opts Options) (measure.Table1, error) {
+	p := opts.Params()
+	p.Engine = ""
+	res, err := runCampaign(ctx, "table1", opts, p)
+	if err != nil {
 		return measure.Table1{}, err
 	}
-	mc := opts.Machine
-	mc.Processors = 1 // the paper's measurement uses a single processor
-	t1, err := measure.BuildTable1Ctx(ctx, mc, memtrace.Patterns(), measure.DefaultQs(), opts.MeasureBudget, opts.Seed, opts.Workers)
-	if err != nil {
-		return t1, err
+	return Table1From(res.(Table1CampaignResult))
+}
+
+// Table1From converts a table1 campaign's wire result into a
+// measure.Table1 with the PNA and PA of every cell; the per-regime runs
+// behind them are not on the wire (measure.MeasureCell re-derives them).
+// The conversion is exact: the wire carries a penalty of d ns as the
+// float64 d/1000 µs, and round(µs×1000) recovers d for every d below
+// 2^45 ns, as the relative error of the two roundings stays under 2^-52.
+func Table1From(res Table1CampaignResult) (measure.Table1, error) {
+	t1 := measure.Table1{
+		Apps:  res.Apps,
+		Cells: make(map[simtime.Duration]map[string]measure.Penalties, len(res.QsMs)),
 	}
-	if opts.Stats != nil {
-		opts.Stats.Add("measure", table1Stats(mc, t1, opts.MeasureBudget))
+	for _, ms := range res.QsMs {
+		cells, ok := res.Cells[table1QKey(ms)]
+		if !ok {
+			return measure.Table1{}, fmt.Errorf("experiments: table1 result has no cells for Q = %gms", ms)
+		}
+		q := simtime.Duration(math.Round(ms * float64(simtime.Millisecond)))
+		t1.Qs = append(t1.Qs, q)
+		t1.Cells[q] = make(map[string]measure.Penalties, len(cells))
+		for app, cell := range cells {
+			pen := measure.Penalties{
+				Measured: app,
+				Q:        q,
+				PNA:      fromMicros(cell.PNAMicros),
+				PA:       make(map[string]simtime.Duration, len(cell.PAMicros)),
+			}
+			for iv, us := range cell.PAMicros {
+				pen.PA[iv] = fromMicros(us)
+			}
+			t1.Cells[q][app] = pen
+		}
 	}
 	return t1, nil
 }
 
-// table1Stats derives a SimStats from the Section-4 measurement protocol.
-// The protocol has no event queue, so the dispatch counters map onto its
-// regimes instead: every migrating-regime switch is a migration charging
-// P^NA (with a cache flush, as the paper streams through memory), and
-// every multiprogrammed-regime switch charges P^A; the penalty time is
-// the regime's whole response-time delta over the stationary baseline.
-// Cells are folded in (Q, measured application) grid order, so the totals
-// are identical at every worker count.
-func table1Stats(mc machine.Config, t1 measure.Table1, budget simtime.Duration) obs.SimStats {
-	var s obs.SimStats
-	for _, q := range t1.Qs {
-		for _, app := range t1.Apps {
-			s.Merge(table1CellStats(mc, t1.Cells[q][app], t1.Apps, budget))
-		}
-	}
-	return s
+// table1QKey formats a Q as the table1 result's Cells key.
+func table1QKey(ms float64) string { return fmt.Sprintf("%g", ms) }
+
+func fromMicros(us float64) simtime.Duration {
+	return simtime.Duration(math.Round(us * float64(simtime.Microsecond)))
 }
 
-// table1CellStats is one (Q, measured application) cell's contribution to
-// the protocol's SimStats; table1Stats sums these in grid order, and the
-// cell execution path folds them one cell at a time. All fields are
-// integer, so the totals agree regardless of grouping.
+// table1CellStats derives one (Q, measured application) cell's SimStats
+// from the Section-4 measurement protocol. The protocol has no event
+// queue, so the dispatch counters map onto its regimes instead: every
+// migrating-regime switch is a migration charging P^NA (with a cache
+// flush, as the paper streams through memory), and every
+// multiprogrammed-regime switch charges P^A; the penalty time is the
+// regime's whole response-time delta over the stationary baseline. All
+// fields are integer, so a campaign's totals do not depend on how its
+// cells are grouped.
 func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, budget simtime.Duration) obs.SimStats {
 	var s obs.SimStats
 	addRun := func(r measure.RunResult) {

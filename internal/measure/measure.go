@@ -28,13 +28,12 @@
 package measure
 
 import (
-	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memtrace"
-	"repro/internal/parallel"
 	"repro/internal/simtime"
 )
 
@@ -446,33 +445,67 @@ func perSwitch(delta simtime.Duration, switches int) simtime.Duration {
 	return d
 }
 
-// MeasureCell runs the Section-4 protocol for a single (Q, measured
-// application) cell of Table 1 in isolation. It reproduces the matching
-// BuildTable1Ctx cell bitwise: the measured and intervening streams
-// depend only on (pattern, budget, seed) — Q never enters stream
-// construction — so the streams it takes from the shared memo (built on
-// first use by whichever cell needs them, or per call when too long to
-// retain) replay exactly the references the shared-stream table build
-// replays. The cell caches of the sharded
+// Streams holds the reference streams of one Table-1 grid: a measured and
+// an intervening stream per application. Each depends only on (pattern,
+// budget, seed) — Q never enters stream construction — so every cell of
+// the grid replays the same ones. A Streams builds each stream at most
+// once, on first use, through the process-wide memo, so the cells that
+// share it share their streams even when they are too long for the memo
+// to retain. Streams is safe for concurrent use.
+type Streams struct {
+	patterns    []memtrace.Pattern
+	opts        Options // Budget and Seed decide the streams; Q is unused
+	measured    []lazyStream
+	intervening []lazyStream
+}
+
+// lazyStream is one stream of a Streams, built by whichever cell needs it
+// first.
+type lazyStream struct {
+	once sync.Once
+	s    *Stream
+}
+
+func (l *lazyStream) get(build func() *Stream) *Stream {
+	l.once.Do(func() { l.s = build() })
+	return l.s
+}
+
+// NewStreams returns the (not yet built) streams of the Table-1 grid over
+// patterns at the given budget and seed.
+func NewStreams(patterns []memtrace.Pattern, budget simtime.Duration, seed uint64) *Streams {
+	return &Streams{
+		patterns:    patterns,
+		opts:        Options{Q: budget, Budget: budget, Seed: seed},
+		measured:    make([]lazyStream, len(patterns)),
+		intervening: make([]lazyStream, len(patterns)),
+	}
+}
+
+// MeasureCell runs the Section-4 protocol for one (Q, measured
+// application) cell of Table 1: patterns[measured] against every pattern
+// of ss as the intervening application. A cell's result depends only on
+// its own coordinates, since a stream is the same whichever cell built it
+// and whether or not the memo retained it; the cell caches of the sharded
 // campaign path rely on this identity.
-func MeasureCell(mc machine.Config, patterns []memtrace.Pattern, measured int, q, budget simtime.Duration, seed uint64) (Penalties, error) {
-	if measured < 0 || measured >= len(patterns) {
-		return Penalties{}, fmt.Errorf("measure: measured index %d out of range [0,%d)", measured, len(patterns))
+func MeasureCell(mc machine.Config, ss *Streams, measured int, q simtime.Duration) (Penalties, error) {
+	if measured < 0 || measured >= len(ss.patterns) {
+		return Penalties{}, fmt.Errorf("measure: measured index %d out of range [0,%d)", measured, len(ss.patterns))
 	}
 	if err := mc.Validate(); err != nil {
 		return Penalties{}, err
 	}
-	opts := Options{Q: q, Budget: budget, Seed: seed}
+	opts := Options{Q: q, Budget: ss.opts.Budget, Seed: ss.opts.Seed}
 	if err := opts.Validate(); err != nil {
 		return Penalties{}, err
 	}
-	streamOpts := Options{Q: budget, Budget: budget, Seed: seed}
-	ms := measuredStream(patterns[measured], streamOpts)
-	ivs := make([]*Stream, len(patterns))
-	for i, p := range patterns {
-		ivs[i] = interveningStream(p, streamOpts)
+	pat := ss.patterns[measured]
+	ms := ss.measured[measured].get(func() *Stream { return measuredStream(pat, ss.opts) })
+	ivs := make([]*Stream, len(ss.patterns))
+	for i, p := range ss.patterns {
+		ivs[i] = ss.intervening[i].get(func() *Stream { return interveningStream(p, ss.opts) })
 	}
-	return measurePenalties(mc, patterns[measured].Name, ms, patterns, ivs, opts)
+	return measurePenalties(mc, pat.Name, ms, ss.patterns, ivs, opts)
 }
 
 // Table1 reproduces the paper's Table 1: for every measured application,
@@ -492,66 +525,4 @@ func DefaultQs() []simtime.Duration {
 		100 * simtime.Millisecond,
 		400 * simtime.Millisecond,
 	}
-}
-
-// BuildTable1 runs the complete protocol over all application pairs and Qs.
-// budget is the per-run compute budget; seed fixes the random streams.
-func BuildTable1(mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64) (Table1, error) {
-	return BuildTable1Ctx(context.Background(), mc, patterns, qs, budget, seed, 0)
-}
-
-// BuildTable1Ctx is BuildTable1 with cancellation and a worker bound,
-// fanning the (Q, measured application) cells out over workers goroutines
-// (zero means runtime.GOMAXPROCS(0), one is sequential). Every cell is an
-// independent set of single-processor runs with its own caches and
-// generators seeded only by (seed, Q, pattern), so the table is identical
-// for every worker count.
-func BuildTable1Ctx(ctx context.Context, mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64, workers int) (Table1, error) {
-	t := Table1{
-		Qs:    qs,
-		Cells: make(map[simtime.Duration]map[string]Penalties),
-	}
-	for _, p := range patterns {
-		t.Apps = append(t.Apps, p.Name)
-	}
-	// The streams depend only on (pattern, budget, seed), not on Q or the
-	// regime, so each pattern's measured and intervening streams are built
-	// once here and shared read-only by every cell.
-	streamOpts := Options{Q: budget, Budget: budget, Seed: seed}
-	measStreams := make([]*Stream, len(patterns))
-	ivStreams := make([]*Stream, len(patterns))
-	err := parallel.ForEach(ctx, workers, 2*len(patterns), func(ctx context.Context, idx int) error {
-		if idx < len(patterns) {
-			measStreams[idx] = measuredStream(patterns[idx], streamOpts)
-		} else {
-			ivStreams[idx-len(patterns)] = interveningStream(patterns[idx-len(patterns)], streamOpts)
-		}
-		return nil
-	})
-	if err != nil {
-		return Table1{}, err
-	}
-	// One slot per (q, measured) cell; idx = qi*len(patterns) + pi.
-	cells := make([]Penalties, len(qs)*len(patterns))
-	err = parallel.ForEach(ctx, workers, len(cells), func(ctx context.Context, idx int) error {
-		q := qs[idx/len(patterns)]
-		p := patterns[idx%len(patterns)]
-		pen, err := measurePenalties(mc, p.Name, measStreams[idx%len(patterns)], patterns, ivStreams,
-			Options{Q: q, Budget: budget, Seed: seed})
-		if err != nil {
-			return err
-		}
-		cells[idx] = pen
-		return nil
-	})
-	if err != nil {
-		return Table1{}, err
-	}
-	for qi, q := range qs {
-		t.Cells[q] = make(map[string]Penalties)
-		for pi, p := range patterns {
-			t.Cells[q][p.Name] = cells[qi*len(patterns)+pi]
-		}
-	}
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -45,20 +44,6 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Run(machine.Symmetry(), memtrace.MVAPattern(), memtrace.Pattern{}, Stationary, Options{}); err == nil {
 		t.Error("bad options accepted")
-	}
-}
-
-// TestBuildTable1RejectsBadInputs: the whole-grid driver must refuse a
-// budget shorter than its largest Q, as every single-cell entry point does,
-// rather than tabulate runs in which that Q never fires.
-func TestBuildTable1RejectsBadInputs(t *testing.T) {
-	if _, err := BuildTable1(machine.Symmetry(), memtrace.Patterns(), DefaultQs(), 200*simtime.Millisecond, 1); err == nil {
-		t.Error("budget 200ms below Q 400ms accepted")
-	}
-	mc := machine.Symmetry()
-	mc.Processors = 0
-	if _, err := BuildTable1(mc, memtrace.Patterns(), DefaultQs(), simtime.Second, 1); err == nil {
-		t.Error("bad machine accepted")
 	}
 }
 
@@ -179,77 +164,5 @@ func TestPerSwitch(t *testing.T) {
 	}
 	if got := perSwitch(-50, 10); got != 0 {
 		t.Errorf("negative delta not clamped: %v", got)
-	}
-}
-
-func TestBuildTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table build is seconds-long")
-	}
-	mc := machine.Symmetry()
-	qs := []simtime.Duration{25 * simtime.Millisecond, 100 * simtime.Millisecond}
-	tbl, err := BuildTable1(mc, memtrace.Patterns(), qs, 4*simtime.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Apps) != 3 {
-		t.Fatalf("apps = %v", tbl.Apps)
-	}
-	for _, q := range qs {
-		for _, app := range tbl.Apps {
-			pen, ok := tbl.Cells[q][app]
-			if !ok {
-				t.Fatalf("missing cell %v/%s", q, app)
-			}
-			if pen.PNA <= 0 {
-				t.Errorf("%s at Q=%v: P^NA = %v, want positive", app, q, pen.PNA)
-			}
-			if len(pen.PA) != 3 {
-				t.Errorf("%s at Q=%v: %d P^A entries, want 3", app, q, len(pen.PA))
-			}
-			for iv, pa := range pen.PA {
-				if pa < 0 {
-					t.Errorf("%s/%s: negative P^A %v", app, iv, pa)
-				}
-				if pa >= pen.PNA {
-					t.Errorf("%s/%s at Q=%v: P^A %v >= P^NA %v", app, iv, q, pa, pen.PNA)
-				}
-			}
-		}
-	}
-}
-
-// TestMeasureCellMatchesBuildTable1 checks the single-cell entry point
-// reproduces the corresponding BuildTable1 cell exactly — the contract
-// the experiments layer's cell decomposition relies on.
-func TestMeasureCellMatchesBuildTable1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measurement runs in -short mode")
-	}
-	mc := machine.Symmetry()
-	pats := memtrace.Patterns()
-	qs := []simtime.Duration{25 * simtime.Millisecond, 100 * simtime.Millisecond}
-	budget := 500 * simtime.Millisecond
-	tbl, err := BuildTable1(mc, pats, qs, budget, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		for pi, p := range pats {
-			pen, err := MeasureCell(mc, pats, pi, q, budget, 7)
-			if err != nil {
-				t.Fatalf("%s at Q=%v: %v", p.Name, q, err)
-			}
-			if !reflect.DeepEqual(pen, tbl.Cells[q][p.Name]) {
-				t.Errorf("%s at Q=%v: MeasureCell differs from BuildTable1 cell\ncell:  %+v\ntable: %+v",
-					p.Name, q, pen, tbl.Cells[q][p.Name])
-			}
-		}
-	}
-	if _, err := MeasureCell(mc, pats, -1, qs[0], budget, 7); err == nil {
-		t.Error("negative measured index accepted")
-	}
-	if _, err := MeasureCell(mc, pats, len(pats), qs[0], budget, 7); err == nil {
-		t.Error("out-of-range measured index accepted")
 	}
 }

@@ -29,7 +29,8 @@ const streamMemoMax = 8 << 20
 // take 8 bytes per reference, one reference per 5 µs gap, so this holds
 // for budgets up to about 0.87 s. A longer stream (the 4 s fast default,
 // paper scale) is built per call and never retained: retaining it would
-// evict the rest of its own campaign.
+// evict the rest of its own campaign. Within one campaign a Streams
+// shares it across the cells instead.
 const campaignStreams = 6
 
 // streamKey identifies one stream: the whole pattern (two patterns may
