@@ -8,10 +8,11 @@
 // reflects its instantaneous processor demand, and marks processors it
 // cannot use as "willing to yield". The discrete-event engine in
 // internal/sched plays the role of the operating system plus that shared
-// memory: before each policy invocation it publishes a fresh State snapshot
-// (demands, allocations, priorities/credits, and the affinity histories of
-// processors and tasks), and afterwards it applies the policy's
-// reassignment decisions, charging reallocation costs.
+// memory: it keeps one State snapshot (demands, allocations,
+// priorities/credits, and the affinity histories of processors and tasks)
+// current as the run changes it, hands it to the policy on each
+// invocation, and afterwards applies the policy's reassignment decisions,
+// charging reallocation costs.
 package alloc
 
 import (
@@ -81,11 +82,14 @@ type Decision struct {
 	HasTask bool
 }
 
-// State is the allocator-visible snapshot the engine publishes before each
-// Rebalance call. Policies may freely mutate it as scratch space (for
-// example, updating Alloc/ProcJob provisionally while constructing a
-// decision list); the engine rebuilds it from authoritative run state
-// before the next invocation.
+// State is the allocator-visible snapshot the engine hands to each
+// Rebalance call. The engine updates each entry where the run changes it,
+// so the snapshot is current at every invocation without being rebuilt.
+// Policies may change it only through Assign (for example, to see their
+// own provisional decisions while constructing a decision list); Assign
+// records every entry it overwrites (Overwritten), and the engine
+// republishes exactly those entries from authoritative run state before
+// the next invocation. Every other field is read-only to policies.
 type State struct {
 	// Procs is the machine's processor count.
 	Procs int
@@ -122,6 +126,10 @@ type State struct {
 	// same helper is called again — the access pattern every policy
 	// follows — and the per-Rebalance query storm allocates nothing.
 	activeScratch, reqScratch, unassignedScratch, yieldScratch, procsOfScratch []int
+
+	// overProcs and overJobs record the processors and jobs whose entries
+	// Assign has overwritten since the last ClearOverwritten.
+	overProcs, overJobs []int
 }
 
 // DesiredProc is a desired processor and the task that wants it.
@@ -170,6 +178,7 @@ func (s *State) Reset(procs, jobs int) {
 		s.ProcLastTask[p] = NoTask
 		s.LastTaskResumable[p] = false
 	}
+	s.ClearOverwritten()
 }
 
 // resize returns s with length n, retaining capacity where possible.
@@ -302,21 +311,39 @@ func (s *State) ProcsOf(j int) []int {
 }
 
 // Assign provisionally applies a decision to the snapshot, so a policy's
-// later logic observes its earlier choices within one Rebalance call.
+// later logic observes its earlier choices within one Rebalance call. It
+// records what it overwrites (see Overwritten).
 func (s *State) Assign(proc, job int) {
 	old := s.ProcJob[proc]
 	if old == job {
 		return
 	}
+	s.overProcs = append(s.overProcs, proc)
 	if old >= 0 {
 		s.Alloc[old]--
+		s.overJobs = append(s.overJobs, old)
 	}
 	s.ProcJob[proc] = job
 	s.ProcYield[proc] = false
 	s.ProcWorking[proc] = false
 	if job >= 0 {
 		s.Alloc[job]++
+		s.overJobs = append(s.overJobs, job)
 	}
+}
+
+// Overwritten returns the processors and jobs whose entries Assign has
+// overwritten since the last ClearOverwritten (or Reset): ProcJob,
+// ProcYield and ProcWorking of each processor, Alloc of each job. Either
+// list may repeat an entry. The slices are owned by the State and valid
+// until the next Assign or ClearOverwritten.
+func (s *State) Overwritten() (procs, jobs []int) { return s.overProcs, s.overJobs }
+
+// ClearOverwritten forgets the entries Assign has overwritten, once their
+// authoritative values have been republished.
+func (s *State) ClearOverwritten() {
+	s.overProcs = s.overProcs[:0]
+	s.overJobs = s.overJobs[:0]
 }
 
 // Policy is a processor allocation discipline.

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,28 @@ func TestQuickAssignConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAssignRecordsOverwritten checks that Assign records every entry it
+// changes (and only those), and that ClearOverwritten and Reset forget.
+func TestAssignRecordsOverwritten(t *testing.T) {
+	s := NewState(4, 3)
+	s.Assign(2, 1)  // unassigned -> job 1
+	s.Assign(2, 1)  // no change
+	s.Assign(2, 0)  // job 1 -> job 0
+	s.Assign(3, -1) // no change
+	procs, jobs := s.Overwritten()
+	if fmt.Sprint(procs) != "[2 2]" || fmt.Sprint(jobs) != "[1 1 0]" {
+		t.Fatalf("Overwritten() = %v, %v; want [2 2], [1 1 0]", procs, jobs)
+	}
+	s.ClearOverwritten()
+	if procs, jobs := s.Overwritten(); len(procs)+len(jobs) != 0 {
+		t.Fatalf("after ClearOverwritten: %v, %v", procs, jobs)
+	}
+	s.Assign(0, 2)
+	s.Reset(4, 3)
+	if procs, jobs := s.Overwritten(); len(procs)+len(jobs) != 0 {
+		t.Fatalf("after Reset: %v, %v", procs, jobs)
 	}
 }

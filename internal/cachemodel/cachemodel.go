@@ -44,6 +44,7 @@ package cachemodel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/footprint"
@@ -51,7 +52,10 @@ import (
 	"repro/internal/simtime"
 )
 
-// Model is the scheduler's view of the per-processor caches.
+// Model is the scheduler's view of the per-processor caches. Tasks are
+// named by the ids TaskID builds, and a task's reference pattern must be
+// the same in every call between Resets: the exact model builds a task's
+// stream from it on first use, and the footprint model memoizes per task.
 type Model interface {
 	// Resident returns (an estimate of) the number of cache lines task
 	// has resident on proc.
@@ -67,11 +71,16 @@ type Model interface {
 	// returns the misses incurred. For a full segment (same arguments as
 	// the preceding Plan) the result equals the plan.
 	Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64
-	// InvalidateShared models coherency traffic: a task on fromProc wrote
-	// 'lines' job-shared lines, invalidating any copies the sibling tasks
-	// (by id) hold on OTHER processors. It returns the total lines
-	// invalidated.
-	InvalidateShared(fromProc int, siblings []int, lines float64) float64
+	// InvalidateShared models coherency traffic: task writer executed
+	// [c0, c0+w) of pat on fromProc (the interval of its last Commit there),
+	// and the fraction shared of the distinct lines it touched
+	// (pat.TouchRate(c0+w) − pat.TouchRate(c0)) were writes to job-shared
+	// data. Fewer than half a line written is no traffic: it returns 0 and
+	// counts no flush. Otherwise up to that many lines of every other task
+	// of the writer's job (JobOf) are invalidated on every OTHER processor,
+	// processor by processor in index order and, within a processor, in
+	// task-id order, and it returns the total lines invalidated.
+	InvalidateShared(fromProc, writer int, pat *memtrace.Pattern, c0, w simtime.Duration, shared float64) float64
 	// Reset empties every per-processor cache (cold start) while retaining
 	// allocated capacity, so one model instance can serve many simulation
 	// runs. A reset model is indistinguishable from a freshly built one.
@@ -86,6 +95,18 @@ type Model interface {
 	Name() string
 }
 
+// TaskIndexBits is the width of the within-job field of a task id.
+const TaskIndexBits = 20
+
+// TaskID returns the id the models key a task's cache residency by: the
+// job and the task's within-job index packed so that all of a job's tasks
+// share JobOf and ascend in index order. Index must be below
+// 1<<TaskIndexBits - 1.
+func TaskID(job, index int) int { return job<<TaskIndexBits | (index + 1) }
+
+// JobOf returns the job a task id belongs to.
+func JobOf(id int) int { return id >> TaskIndexBits }
+
 // Stats are a cache model's cumulative operation counters. All fields
 // are deterministic functions of the call sequence the scheduler drives,
 // independent of the model's internal protocol.
@@ -98,12 +119,75 @@ type Stats struct {
 
 // Footprint is the analytic occupancy model (the default).
 type Footprint struct {
-	procs []*footprint.Cache
-	// slots maps each task gid to the dense id its footprint.Cache
-	// entries are keyed by, assigned in order of first Commit.
-	slots  map[int]int
-	sibBuf []int // InvalidateShared scratch: the siblings' slots
-	stats  Stats
+	procs []footprint.Cache // by value: one indirection less per access
+	// slotOf[JobOf(id)][id's index field] is 1 + the dense slot the
+	// footprint.Cache entries of task id are keyed by (0: none yet); slots
+	// are assigned in order of first Commit, and slotID maps them back.
+	slotOf [][]int32
+	slotID []int
+	// held[j] lists where job j's tasks have lines resident, ordered by
+	// processor and then task id: exactly the entries a shared write by a
+	// task of job j may invalidate.
+	held    [][]heldEntry
+	taskBuf []int // reindex scratch
+	// plans[p] is the segment last planned or committed on processor p:
+	// Commit reuses the plan's miss count when it commits exactly that
+	// segment, and InvalidateShared and the next Plan there reuse its
+	// TouchRate values.
+	plans []footprintPlan
+	stats Stats
+}
+
+// heldEntry names one resident footprint.Cache entry: processor and slot.
+type heldEntry struct{ proc, slot int32 }
+
+// footprintPlan memoizes one footprint.Segment computation for w > 0: the
+// pattern's TouchRate at both ends of [c0, c0+w) and the miss count for
+// r0. All are pure functions of the task's pattern and these arguments,
+// and a task's pattern is fixed between Resets (see Model).
+type footprintPlan struct {
+	task       int
+	pat        *memtrace.Pattern
+	c0, w      simtime.Duration
+	r0, misses float64
+	start, end float64 // pat.TouchRate(c0), pat.TouchRate(c0 + w)
+}
+
+// span returns pat.TouchRate at c0 and at c0+w (w > 0), taking what it can
+// from proc's memo: the same interval, the same start, or (for a task
+// continuing on proc) a start where the memo's interval ended.
+func (f *Footprint) span(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration) (start, end float64) {
+	pl := &f.plans[proc]
+	switch {
+	case pl.task != task || pl.pat != pat || pl.w <= 0:
+		start = pat.TouchRate(c0)
+	case pl.c0 == c0:
+		if pl.w == w {
+			return pl.start, pl.end
+		}
+		start = pl.start
+	case pl.c0+pl.w == c0:
+		start = pl.end
+	default:
+		start = pat.TouchRate(c0)
+	}
+	return start, pat.TouchRate(c0 + w)
+}
+
+// segment returns footprint.Segment(pat, c0, c0+w, r0), from proc's memo
+// when it holds exactly this segment, and leaves the segment memoized.
+func (f *Footprint) segment(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
+	if w <= 0 {
+		return 0
+	}
+	pl := &f.plans[proc]
+	if pl.task == task && pl.pat == pat && pl.c0 == c0 && pl.w == w && pl.r0 == r0 {
+		return pl.misses
+	}
+	start, end := f.span(proc, task, pat, c0, w)
+	m := footprint.Misses(pat, end-start, r0)
+	*pl = footprintPlan{task: task, pat: pat, c0: c0, w: w, r0: r0, misses: m, start: start, end: end}
+	return m
 }
 
 // NewFootprint builds the analytic model for nprocs processors with caches
@@ -112,13 +196,13 @@ func NewFootprint(nprocs, capacityLines int) (*Footprint, error) {
 	if nprocs <= 0 {
 		return nil, fmt.Errorf("cachemodel: need at least one processor")
 	}
-	f := &Footprint{slots: make(map[int]int)}
+	f := &Footprint{plans: make([]footprintPlan, nprocs)}
 	for i := 0; i < nprocs; i++ {
 		fc, err := footprint.New(capacityLines)
 		if err != nil {
 			return nil, err
 		}
-		f.procs = append(f.procs, fc)
+		f.procs = append(f.procs, *fc)
 	}
 	return f, nil
 }
@@ -128,19 +212,48 @@ func (f *Footprint) Name() string { return "footprint" }
 
 // Reset implements Model.
 func (f *Footprint) Reset() {
-	for _, fc := range f.procs {
-		fc.Reset()
+	for p := range f.procs {
+		f.procs[p].Reset()
 	}
-	clear(f.slots)
+	for _, row := range f.slotOf {
+		clear(row)
+	}
+	f.slotID = f.slotID[:0]
+	for j := range f.held {
+		f.held[j] = f.held[j][:0]
+	}
+	clear(f.plans)
 	f.stats = Stats{}
 }
 
 // Stats implements Model.
 func (f *Footprint) Stats() Stats { return f.stats }
 
+// slot returns task id's dense slot, assigning the next one when create is
+// set and the task has none yet.
+func (f *Footprint) slot(id int, create bool) (int, bool) {
+	j, k := JobOf(id), id&(1<<TaskIndexBits-1)
+	if uint(j) < uint(len(f.slotOf)) && k < len(f.slotOf[j]) && f.slotOf[j][k] > 0 {
+		return int(f.slotOf[j][k] - 1), true
+	}
+	if !create {
+		return 0, false
+	}
+	for j >= len(f.slotOf) {
+		f.slotOf = append(f.slotOf, nil)
+	}
+	if k >= len(f.slotOf[j]) {
+		f.slotOf[j] = append(f.slotOf[j], make([]int32, k+1-len(f.slotOf[j]))...)
+	}
+	s := len(f.slotID)
+	f.slotID = append(f.slotID, id)
+	f.slotOf[j][k] = int32(s + 1)
+	return s, true
+}
+
 // Resident implements Model.
 func (f *Footprint) Resident(proc, task int) float64 {
-	s, ok := f.slots[task]
+	s, ok := f.slot(task, false)
 	if !ok {
 		return 0
 	}
@@ -150,39 +263,88 @@ func (f *Footprint) Resident(proc, task int) float64 {
 // Plan implements Model.
 func (f *Footprint) Plan(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
 	f.stats.Plans++
-	return footprint.Segment(pat, c0, c0+w, r0)
+	return f.segment(proc, task, pat, c0, w, r0)
 }
 
-// Commit implements Model.
+// Commit implements Model. A full segment's miss count comes from its Plan.
 func (f *Footprint) Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
 	f.stats.Commits++
-	s, ok := f.slots[task]
-	if !ok {
-		s = len(f.slots)
-		f.slots[task] = s
+	s, _ := f.slot(task, true)
+	m := f.segment(proc, task, pat, c0, w, r0)
+	fc := &f.procs[proc]
+	had, removals := fc.Resident(s) > 0, fc.Removals()
+	fc.Load(s, m)
+	switch {
+	case fc.Removals() != removals:
+		f.reindex(proc) // the load displaced other tasks entirely
+	case !had && fc.Resident(s) > 0:
+		f.hold(proc, s)
 	}
-	return f.procs[proc].RunSegment(s, pat, c0, c0+w, r0)
+	return m
 }
 
-// InvalidateShared implements Model.
-func (f *Footprint) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
-	// A sibling that never committed holds no lines anywhere; dropping it
-	// skips only additions of zero, so the sum is unchanged.
-	slots := f.sibBuf[:0]
-	for _, sib := range siblings {
-		if s, ok := f.slots[sib]; ok {
-			slots = append(slots, s)
-		}
+// hold records that slot s became resident on processor p.
+func (f *Footprint) hold(p, s int) {
+	id := f.slotID[s]
+	j := JobOf(id)
+	for j >= len(f.held) {
+		f.held = append(f.held, nil)
 	}
-	f.sibBuf = slots
+	l := f.held[j]
+	i := len(l)
+	for i > 0 && (int(l[i-1].proc) > p || int(l[i-1].proc) == p && f.slotID[l[i-1].slot] > id) {
+		i--
+	}
+	f.held[j] = slices.Insert(l, i, heldEntry{proc: int32(p), slot: int32(s)})
+}
+
+// reindex rebuilds processor p's held entries from its resident entries.
+func (f *Footprint) reindex(p int) {
+	for j, l := range f.held {
+		f.held[j] = slices.DeleteFunc(l, func(h heldEntry) bool { return int(h.proc) == p })
+	}
+	f.taskBuf = f.procs[p].AppendTasks(f.taskBuf[:0])
+	for _, s := range f.taskBuf {
+		f.hold(p, s)
+	}
+}
+
+// InvalidateShared implements Model. It visits only the entries of the
+// writer's job resident on each other processor, not every (processor,
+// sibling) pair: a pair with nothing resident only ever added +0.0 to the
+// total and changed nothing, so skipping it keeps the sum and the caches
+// bit-identical. The held lists are in task-id order because removing an
+// entry reorders the rest: the order of application is part of the result.
+func (f *Footprint) InvalidateShared(fromProc, writer int, pat *memtrace.Pattern, c0, w simtime.Duration, shared float64) float64 {
+	if w <= 0 {
+		return 0
+	}
+	start, end := f.span(fromProc, writer, pat, c0, w)
+	lines := (end - start) * shared
+	if lines < 0.5 {
+		return 0
+	}
 	total := 0.0
-	for p, fc := range f.procs {
-		if p == fromProc {
-			continue
+	if j := JobOf(writer); j >= 0 && j < len(f.held) {
+		ws, ok := f.slot(writer, false)
+		if !ok {
+			ws = -1
 		}
-		for _, s := range slots {
-			total += fc.Invalidate(s, lines)
+		held := f.held[j]
+		for i := 0; i < len(held); i++ {
+			h := held[i]
+			if int(h.proc) == fromProc || int(h.slot) == ws {
+				continue
+			}
+			fc := &f.procs[h.proc]
+			removals := fc.Removals()
+			total += fc.Invalidate(int(h.slot), lines)
+			if fc.Removals() != removals { // all of the entry's lines went
+				held = slices.Delete(held, i, i+1)
+				i--
+			}
 		}
+		f.held[j] = held
 	}
 	f.stats.Flushes++
 	f.stats.InvalLines += total
@@ -207,10 +369,13 @@ type Exact struct {
 	cfg   cache.Config
 	procs []*cache.Cache
 	gens  map[int]*memtrace.Generator // task gid -> its stream
-	seed  uint64
-	pend  []pendingPlan // per-processor speculative segment
-	naive bool          // clone-and-replay-twice oracle protocol
-	stats Stats
+	// jobTasks[j] lists, in ascending id order, job j's tasks that have a
+	// stream: the only ones that can hold lines anywhere.
+	jobTasks [][]int
+	seed     uint64
+	pend     []pendingPlan // per-processor speculative segment
+	naive    bool          // clone-and-replay-twice oracle protocol
+	stats    Stats
 }
 
 // NewExact builds the exact model for nprocs processors with the given
@@ -259,6 +424,9 @@ func (e *Exact) Reset() {
 		e.procs[p].Flush()
 	}
 	clear(e.gens)
+	for j := range e.jobTasks {
+		e.jobTasks[j] = e.jobTasks[j][:0]
+	}
 	e.stats = Stats{}
 }
 
@@ -274,6 +442,16 @@ func (e *Exact) gen(task int, pat *memtrace.Pattern) *memtrace.Generator {
 	base := uint64(task+1) << 32
 	g := memtrace.NewGenerator(*pat, base, e.seed^uint64(task)*0x9e3779b97f4a7c15)
 	e.gens[task] = g
+	j := JobOf(task)
+	for j >= len(e.jobTasks) {
+		e.jobTasks = append(e.jobTasks, nil)
+	}
+	ids := e.jobTasks[j]
+	i := len(ids)
+	for i > 0 && ids[i-1] > task {
+		i--
+	}
+	e.jobTasks[j] = slices.Insert(ids, i, task)
 	return g
 }
 
@@ -387,8 +565,17 @@ func (e *Exact) Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.Dura
 // absorb it. Any target with lines to lose first resolves its pending plan
 // so the invalidation applies to the same pre-replay state the naive
 // protocol would mutate. Targets provably clean in both the speculative and
-// rolled-back state skip both the resolve and the scan.
-func (e *Exact) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
+// rolled-back state skip both the resolve and the scan. Siblings without a
+// stream hold nothing anywhere and are not visited at all.
+func (e *Exact) InvalidateShared(fromProc, writer int, pat *memtrace.Pattern, c0, w simtime.Duration, shared float64) float64 {
+	lines := (pat.TouchRate(c0+w) - pat.TouchRate(c0)) * shared
+	if lines < 0.5 {
+		return 0
+	}
+	var siblings []int
+	if j := JobOf(writer); j >= 0 && j < len(e.jobTasks) {
+		siblings = e.jobTasks[j]
+	}
 	n := int(lines + 0.5)
 	total := 0
 	for p, c := range e.procs {
@@ -396,6 +583,9 @@ func (e *Exact) InvalidateShared(fromProc int, siblings []int, lines float64) fl
 			continue
 		}
 		for _, sib := range siblings {
+			if sib == writer {
+				continue
+			}
 			if !e.naive && c.Resident(sib) == 0 && c.ResidentAtJournalStart(sib) == 0 {
 				continue
 			}

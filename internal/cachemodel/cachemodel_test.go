@@ -200,9 +200,12 @@ func TestInvalidateShared(t *testing.T) {
 			m.Commit(0, 1, &pat, 0, 500*simtime.Millisecond, 0)
 			m.Commit(1, 2, &pat, 0, 500*simtime.Millisecond, 0)
 			r1, r2 := m.Resident(0, 1), m.Resident(1, 2)
-			// Task 1 (on proc 0) writes 100 shared lines: task 2's copies
-			// on proc 1 shrink; task 1's own lines do not.
-			got := m.InvalidateShared(0, []int{2}, 100)
+			// Task 1 (on proc 0) writes 100 shared lines in 10 ms: its
+			// sibling task 2's copies on proc 1 shrink; task 1's own lines
+			// do not.
+			w := 10 * simtime.Millisecond
+			shared := 100 / pat.TouchRate(w)
+			got := m.InvalidateShared(0, 1, &pat, 0, w, shared)
 			if got <= 0 {
 				t.Fatalf("no lines invalidated")
 			}
@@ -212,9 +215,21 @@ func TestInvalidateShared(t *testing.T) {
 			if m.Resident(0, 1) != r1 {
 				t.Errorf("writer's own residency changed: %v -> %v", r1, m.Resident(0, 1))
 			}
-			// Invalidating a task with no lines anywhere is a no-op.
-			if got := m.InvalidateShared(0, []int{99}, 50); got != 0 {
+			// A writer whose job has no other task with lines anywhere
+			// invalidates nothing.
+			if got := m.InvalidateShared(0, TaskID(1, 0), &pat, 0, w, shared); got != 0 {
 				t.Errorf("phantom invalidation = %v", got)
+			}
+			if m.Resident(1, 2) == 0 || m.Resident(0, 1) != r1 {
+				t.Errorf("other job's write changed residency")
+			}
+			// Less than half a line written is no traffic at all.
+			before := m.Stats()
+			if got := m.InvalidateShared(0, 1, &pat, 0, w, 0.1/pat.TouchRate(w)); got != 0 {
+				t.Errorf("sub-line write invalidated %v", got)
+			}
+			if m.Stats() != before {
+				t.Errorf("sub-line write counted: %+v -> %+v", before, m.Stats())
 			}
 		})
 	}

@@ -124,10 +124,11 @@ func TestFastMatchesNaiveProtocol(t *testing.T) {
 				})
 				clearPlan(p)
 			case 7: // coherency invalidation between a sibling's plan/commit
-				lines := float64(rng.Intn(200))
-				sibs := []int{rng.Intn(ntasks), rng.Intn(ntasks)}
+				writer := rng.Intn(ntasks) // every task id here is of job 0
+				pat := pats[writer]
+				shared := float64(rng.Intn(100)) / 100
 				driveBoth(t, step, fast, naive, func(m Model) float64 {
-					return m.InvalidateShared(p, sibs, lines)
+					return m.InvalidateShared(p, writer, &pat, 0, w, shared)
 				})
 			case 8: // residency query (resolves p's pending plan)
 				task := rng.Intn(ntasks)

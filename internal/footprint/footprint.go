@@ -60,6 +60,7 @@ type Cache struct {
 	pos      []int32 // task -> 1 + its position in entries; 0 when absent
 	entries  []entry
 	occupied float64
+	removals uint64 // entries removed other than by Flush
 }
 
 type entry struct {
@@ -109,6 +110,15 @@ func (c *Cache) Resident(task int) float64 {
 	return 0
 }
 
+// AppendTasks appends the tasks with resident lines to dst, in entry
+// order, and returns the extended slice.
+func (c *Cache) AppendTasks(dst []int) []int {
+	for _, e := range c.entries {
+		dst = append(dst, e.task)
+	}
+	return dst
+}
+
 // Occupied returns the total expected occupancy in lines.
 func (c *Cache) Occupied() float64 { return c.occupied }
 
@@ -127,8 +137,15 @@ func (c *Cache) Flush() {
 // cell stops re-growing its internals after the first run.
 func (c *Cache) Reset() { c.Flush() }
 
+// Removals returns how many entries have been removed, by invalidation,
+// eviction or displacement, since the cache was built; Flush and Reset do
+// not count. A caller that indexes the resident tasks compares it across
+// an operation to learn whether the operation dropped any.
+func (c *Cache) Removals() uint64 { return c.removals }
+
 // remove drops the entry at position i by swapping with the last entry.
 func (c *Cache) remove(i int) {
+	c.removals++
 	last := len(c.entries) - 1
 	c.pos[c.entries[i].task] = 0
 	if i != last {
@@ -240,7 +257,13 @@ func Segment(p Profile, t0, t1 simtime.Duration, r0 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	touched := p.TouchRate(t1) - p.TouchRate(t0)
+	return Misses(p, p.TouchRate(t1)-p.TouchRate(t0), r0)
+}
+
+// Misses is Segment for an interval in which the task touches touched
+// distinct lines (TouchRate(t1) − TouchRate(t0)), for callers that already
+// hold those TouchRate values.
+func Misses(p Profile, touched, r0 float64) float64 {
 	if touched <= 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package footprint
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -319,5 +320,56 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		c.Occupied() != fresh.Occupied() {
 		t.Fatalf("reset cache diverges from fresh: %v/%v vs %v/%v",
 			c.Resident(3), c.Resident(4), fresh.Resident(3), fresh.Resident(4))
+	}
+}
+
+func TestAppendTasksFollowsEntryOrder(t *testing.T) {
+	c := MustNew(100)
+	c.Load(3, 10)
+	c.Load(1, 10)
+	c.Load(2, 10)
+	if got := c.AppendTasks(nil); fmt.Sprint(got) != "[3 1 2]" {
+		t.Fatalf("AppendTasks = %v, want load order [3 1 2]", got)
+	}
+	// Removing an entry swaps the last one into its place.
+	c.Invalidate(3, 10)
+	if got := c.AppendTasks([]int{9}); fmt.Sprint(got) != "[9 2 1]" {
+		t.Fatalf("AppendTasks after removal = %v, want [9 2 1]", got)
+	}
+}
+
+func TestMissesIsSegment(t *testing.T) {
+	for _, p := range []memtrace.Pattern{memtrace.MVAPattern(), memtrace.GravityPattern()} {
+		for _, iv := range [][2]simtime.Duration{{0, 5 * simtime.Millisecond},
+			{7 * simtime.Millisecond, 90 * simtime.Millisecond}, {3, 3}} {
+			for _, r0 := range []float64{0, 100, 1e6} {
+				want := Segment(p, iv[0], iv[1], r0)
+				touched := p.TouchRate(iv[1]) - p.TouchRate(iv[0])
+				if got := Misses(p, touched, r0); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %v r0=%v: Misses = %v, Segment = %v", p.Name, iv, r0, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRemovalsCountsDroppedEntries(t *testing.T) {
+	c := MustNew(100)
+	c.Load(1, 40)
+	c.Load(2, 40)
+	c.Invalidate(1, 10) // partial: nothing dropped
+	if c.Removals() != 0 {
+		t.Fatalf("Removals = %d after a partial invalidation", c.Removals())
+	}
+	c.Invalidate(1, 100) // drops task 1
+	c.Load(3, 200)       // displaces task 2 entirely
+	c.Evict(3)
+	if c.Removals() != 3 {
+		t.Fatalf("Removals = %d, want 3", c.Removals())
+	}
+	c.Load(4, 10)
+	c.Flush() // not a removal
+	if c.Removals() != 3 {
+		t.Fatalf("Removals = %d after Flush, want 3", c.Removals())
 	}
 }

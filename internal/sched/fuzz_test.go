@@ -49,8 +49,10 @@ func randomApp(rng *xrand.Source, name string) workload.App {
 
 // TestQuickPoliciesSurviveRandomWorkloads is the policy robustness fuzz:
 // arbitrary DAG mixes must complete under every policy with conserved work
-// and consistent metrics.
+// and consistent metrics, an allocator snapshot equal to a full rebuild at
+// every policy event, and Figure-1 counts that add up.
 func TestQuickPoliciesSurviveRandomWorkloads(t *testing.T) {
+	withSnapshotOracle(t)
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri",
 		"Dyn-Aff-Delay", "TimeShare-RR", "TimeShare-Aff"}
 	f := func(seed uint64) bool {

@@ -44,8 +44,9 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 // (quantum-driven and event-driven), processor counts (growing and
 // shrinking the processor pool and profile), seeds, staggered arrivals, and
 // cache models — and requires each Result to be bitwise identical to a
-// fresh Run of the same config.
+// fresh Run of the same config, with every snapshot checked by the oracle.
 func TestRunnerReuseHeterogeneousConfigs(t *testing.T) {
+	withSnapshotOracle(t)
 	procs := func(n int) machine.Config {
 		m := machine.Symmetry()
 		m.Processors = n
@@ -120,6 +121,7 @@ func FuzzRunnerReuse(f *testing.F) {
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri",
 		"Dyn-Aff-Delay", "TimeShare-RR", "TimeShare-Aff"}
 	f.Fuzz(func(t *testing.T, seed uint64) {
+		withSnapshotOracle(t)
 		rng := xrand.New(seed, 0xfe0de)
 		rn := NewRunner()
 		nruns := 2 + rng.Intn(3)

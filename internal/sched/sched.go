@@ -85,9 +85,9 @@ func (c Config) Validate() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err
 	}
-	if c.Machine.Processors >= 1<<taskGIDBits-1 {
+	if c.Machine.Processors >= 1<<cachemodel.TaskIndexBits-1 {
 		return fmt.Errorf("sched: %d processors overflow the %d-bit task-id field",
-			c.Machine.Processors, taskGIDBits)
+			c.Machine.Processors, cachemodel.TaskIndexBits)
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("sched: no policy")
@@ -223,6 +223,13 @@ type taskRT struct {
 	// residentAtDispatch is the footprint the task had on its processor
 	// at that point.
 	residentAtDispatch float64
+
+	// resumable is the task's published allocation-rule A.1 status:
+	// preempted, or idle while its job has ready threads. holders heads
+	// the list (linked through procRT.lastNext/lastPrev) of processors
+	// whose last task this is, whose LastTaskResumable mirrors it.
+	resumable bool
+	holders   int
 }
 
 type jobRT struct {
@@ -267,10 +274,18 @@ type jobRT struct {
 	// observed chance level (Table 3: 21-31%).
 	rng *xrand.Source
 
-	// pickScratch and sibScratch are reused buffers for pickArbitrary and
-	// invalidateShared, both called once or more per execution segment.
+	// pickScratch is a reused buffer for pickArbitrary, called once or more
+	// per dispatch.
 	pickScratch []*taskRT
-	sibScratch  []int
+
+	// desired lists, for the job's nPre preempted tasks and then its nIdle
+	// idle tasks that have run, the processor each last ran on, each half
+	// in task order. The published Desired list (alloc.State.Desired[id])
+	// is its prefix: the idle half shows only while hasReady (the job has
+	// ready threads). nPre is also the job's count of preempted tasks.
+	desired     []alloc.DesiredProc
+	nPre, nIdle int
+	hasReady    bool
 }
 
 type procRT struct {
@@ -284,6 +299,9 @@ type procRT struct {
 	// directed at this processor (rules A.1/A.2); consumed at dispatch.
 	bound    alloc.TaskRef
 	lastTask alloc.TaskRef
+	// lastPrev and lastNext link the processors sharing a lastTask (see
+	// taskRT.holders); -1 ends the list.
+	lastPrev, lastNext int
 
 	// Current execution segment.
 	segEv       *eventq.Event
@@ -314,7 +332,6 @@ type engine struct {
 	st    *alloc.State
 
 	lastCredit  simtime.Time
-	credits     []float64
 	activeJobs  int
 	runningCnt  int
 	lastProfile simtime.Time
@@ -437,7 +454,6 @@ func (e *engine) reset(cfg Config, model cachemodel.Model) error {
 	} else {
 		e.st.Reset(nproc, njob)
 	}
-	e.credits = sizedZero(e.credits, njob)
 	e.profile = sizedZero(e.profile, nproc+1)
 	e.lastCredit = 0
 	e.activeJobs = 0
@@ -466,6 +482,7 @@ func (e *engine) reset(cfg Config, model cachemodel.Model) error {
 		pr.yield = false
 		pr.bound = alloc.NoTask
 		pr.lastTask = alloc.NoTask
+		pr.lastPrev, pr.lastNext = -1, -1
 		pr.segEv = nil
 		pr.segStart = 0
 		pr.segWall = 0
@@ -507,6 +524,14 @@ func (e *engine) reset(cfg Config, model cachemodel.Model) error {
 		jr.allocInt = 0
 		jr.curAlloc = 0
 		jr.lastAllocChange = 0
+		jr.desired = jr.desired[:0]
+		jr.nPre, jr.nIdle = 0, 0
+		jr.hasReady = jr.job.ReadyCount() > 0
+		e.st.Desired[i] = jr.desired
+		// The snapshot's per-job constants; everything else starts at its
+		// Reset value and is published where it changes.
+		e.st.Demand[i] = jr.job.Demand()
+		e.st.MaxPar[i] = jr.app.MaxParallelism()
 	}
 	return nil
 }
@@ -563,7 +588,20 @@ func (e *engine) run() (Result, error) {
 				j.id, j.app.Name, j.job.Demand(), j.curAlloc)
 		}
 	}
-	return e.result(events), nil
+	res := e.result(events)
+	if observer != nil {
+		observer.finished(e, res)
+	}
+	return res, nil
+}
+
+// observer, when non-nil, is shown the engine each time it publishes the
+// allocator snapshot to Rebalance and each Result it finishes. Only this
+// package's tests install one (snapshot_test.go); it must be safe for
+// concurrent use, since campaign workers run engines in parallel.
+var observer interface {
+	snapshot(e *engine)
+	finished(e *engine, res Result)
 }
 
 func (e *engine) activeJobsRemaining() bool { return e.activeJobs > 0 }
@@ -598,6 +636,7 @@ func (e *engine) setRunning(p *procRT, running bool) {
 	} else {
 		e.runningCnt--
 	}
+	e.publishProc(p)
 }
 
 func (e *engine) noteAlloc(j *jobRT, delta int) {
@@ -605,6 +644,7 @@ func (e *engine) noteAlloc(j *jobRT, delta int) {
 	j.allocInt += float64(j.curAlloc) * float64(now.Sub(j.lastAllocChange))
 	j.lastAllocChange = now
 	j.curAlloc += delta
+	e.st.Alloc[j.id] = j.curAlloc
 }
 
 // beginIdle puts an assigned processor into the idle-held state, starting
@@ -618,6 +658,7 @@ func (e *engine) beginIdle(p *procRT) {
 	delay := e.pol.YieldDelay()
 	if delay <= 0 {
 		p.yield = true
+		e.publishProc(p)
 		e.record(trace.Yield, p.id, p.job, -1, false, false)
 		e.policyEvent(alloc.TrigProcFree, p.id)
 		return
@@ -632,6 +673,7 @@ func (e *engine) yieldFire(pid int) {
 	pp.yieldEv = nil
 	if pp.job >= 0 && !pp.running {
 		pp.yield = true
+		e.publishProc(pp)
 		e.record(trace.Yield, pid, pp.job, -1, false, false)
 		e.policyEvent(alloc.TrigProcFree, pid)
 	}
@@ -650,6 +692,7 @@ func (e *engine) endIdle(p *procRT) {
 		p.yieldEv = nil
 	}
 	p.yield = false
+	e.publishProc(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -661,6 +704,7 @@ func (e *engine) arrive(id int) {
 	j.arrival = e.now()
 	j.lastAllocChange = e.now()
 	e.activeJobs++
+	e.st.Active[id] = true
 	e.record(trace.JobArrive, -1, id, -1, false, false)
 	e.policyEvent(alloc.TrigArrival, id)
 }
@@ -671,6 +715,7 @@ func (e *engine) completeJob(j *jobRT) {
 	e.record(trace.JobComplete, -1, j.id, -1, false, false)
 	e.noteAlloc(j, 0)
 	e.activeJobs--
+	e.st.Active[j.id] = false
 	// Release the job's processors.
 	for _, p := range e.procs {
 		if p.job == j.id {
@@ -694,23 +739,22 @@ func (e *engine) releaseProc(p *procRT) {
 	p.job = -1
 	p.task = nil
 	p.bound = alloc.NoTask
+	e.publishProc(p)
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch and execution.
 
-// taskGIDBits is the width reserved for the within-job task index in a
-// global task id. 2^20 tasks per job is far beyond any machine size the
-// simulator accepts (Config.Validate bounds Processors accordingly), and
-// taskGID itself fails loudly rather than silently colliding.
-const taskGIDBits = 20
-
-// taskGID assigns globally unique footprint owner ids.
+// taskGID assigns globally unique cache-model owner ids
+// (cachemodel.TaskID). 2^20 tasks per job is far beyond any machine size
+// the simulator accepts (Config.Validate bounds Processors accordingly),
+// and taskGID itself fails loudly rather than silently colliding.
 func taskGID(job, task int) int {
-	if task+1 >= 1<<taskGIDBits {
-		panic(fmt.Sprintf("sched: task index %d overflows the %d-bit task-id field", task, taskGIDBits))
+	if task+1 >= 1<<cachemodel.TaskIndexBits {
+		panic(fmt.Sprintf("sched: task index %d overflows the %d-bit task-id field",
+			task, cachemodel.TaskIndexBits))
 	}
-	return job<<taskGIDBits | (task + 1)
+	return cachemodel.TaskID(job, task)
 }
 
 // chooseTask selects which of job j's kernel tasks should run on processor
@@ -763,6 +807,7 @@ func (e *engine) chooseTask(j *jobRT, p *procRT) *taskRT {
 				gid:      taskGID(j.id, idx),
 				proc:     -1,
 				lastProc: -1,
+				holders:  -1,
 			}
 			j.tasks = append(j.tasks, t)
 			return t
@@ -789,6 +834,7 @@ func (e *engine) dispatch(p *procRT) {
 		}
 		t.thread = tid
 		t.hasThread = true
+		e.noteReady(j)
 	}
 
 	// Classify the dispatch. A reallocation occurred when the task is not
@@ -818,7 +864,7 @@ func (e *engine) dispatch(p *procRT) {
 	}
 	j.switchTime += overhead
 
-	t.state = taskOnProc
+	e.setTaskState(j, t, taskOnProc)
 	t.proc = p.id
 	p.task = t
 	p.bound = alloc.NoTask
@@ -870,12 +916,13 @@ func (e *engine) segmentDone(pid int) {
 	j.job.Progress(t.thread, p.segWork)
 	j.job.Complete(t.thread)
 	t.hasThread = false
-	p.lastTask = t.ref
+	e.noteReady(j)
+	e.setLastTask(p, t)
 	t.lastProc = p.id
 	p.segEv = nil
 
 	if j.job.Done() {
-		t.state = taskIdle
+		e.setTaskState(j, t, taskIdle)
 		t.proc = -1
 		e.setRunning(p, false)
 		e.completeJob(j)
@@ -886,11 +933,12 @@ func (e *engine) segmentDone(pid int) {
 	if tid, ok := j.job.Attach(); ok {
 		t.thread = tid
 		t.hasThread = true
+		e.noteReady(j)
 		overhead := e.mc.Compute(e.cfg.UserSwitch)
 		j.switchTime += overhead
 		e.startSegment(p, overhead)
 	} else {
-		t.state = taskIdle
+		e.setTaskState(j, t, taskIdle)
 		t.proc = -1
 		e.beginIdle(p)
 	}
@@ -906,45 +954,34 @@ func (e *engine) segmentDone(pid int) {
 // fillIdleProcs dispatches a job's runnable work onto processors it already
 // holds idle — a user-level action requiring no allocator involvement.
 func (e *engine) fillIdleProcs(j *jobRT) {
-	if j.done {
+	if j.done || !j.hasWork() {
 		return
 	}
 	for _, p := range e.procs {
-		if p.job != j.id || p.running {
-			continue
+		if p.job == j.id && !p.running {
+			e.dispatch(p)
+			if !j.hasWork() {
+				return
+			}
 		}
-		if j.job.ReadyCount() == 0 && !e.hasPreempted(j) {
-			break
-		}
-		e.dispatch(p)
 	}
 }
+
+// hasWork reports whether the job has a ready thread or a preempted task
+// to dispatch.
+func (j *jobRT) hasWork() bool { return j.job.ReadyCount() > 0 || j.nPre > 0 }
 
 // invalidateShared models the coherency cost of the segment just committed:
 // the fraction of the task's touched lines that are written shared data
 // invalidates the job's sibling tasks' copies on other processors.
 func (e *engine) invalidateShared(p *procRT, j *jobRT, t *taskRT, w simtime.Duration) {
+	// A job's tasks only grow, and t is one of them: it has siblings once
+	// there are two.
 	shared := j.app.SharedFrac
-	if shared <= 0 || w <= 0 {
+	if shared <= 0 || w <= 0 || len(j.tasks) < 2 {
 		return
 	}
-	c0 := t.dispatchCompute
-	touched := j.app.Pattern.TouchRate(c0+w) - j.app.Pattern.TouchRate(c0)
-	writes := touched * shared
-	if writes < 0.5 {
-		return
-	}
-	siblings := j.sibScratch[:0]
-	for _, sib := range j.tasks {
-		if sib != t {
-			siblings = append(siblings, sib.gid)
-		}
-	}
-	j.sibScratch = siblings
-	if len(siblings) == 0 {
-		return
-	}
-	j.invalLines += e.model.InvalidateShared(p.id, siblings, writes)
+	j.invalLines += e.model.InvalidateShared(p.id, t.gid, &j.app.Pattern, t.dispatchCompute, w, shared)
 }
 
 // pickArbitrary returns a uniformly random task of j in the wanted state,
@@ -961,15 +998,6 @@ func (j *jobRT) pickArbitrary(want taskState) *taskRT {
 		return nil
 	}
 	return candidates[j.rng.Intn(len(candidates))]
-}
-
-func (e *engine) hasPreempted(j *jobRT) bool {
-	for _, t := range j.tasks {
-		if t.state == taskPreempted {
-			return true
-		}
-	}
-	return false
 }
 
 // preempt stops the processor's current segment, returning partial progress
@@ -1000,10 +1028,10 @@ func (e *engine) preempt(p *procRT) {
 	j.missLines += missDone
 	j.job.Progress(t.thread, workDone)
 
-	t.state = taskPreempted
-	t.proc = -1
 	t.lastProc = p.id
-	p.lastTask = t.ref
+	e.setLastTask(p, t)
+	e.setTaskState(j, t, taskPreempted)
+	t.proc = -1
 	p.task = nil
 	e.record(trace.Preempt, p.id, j.id, t.ref.Task, false, false)
 	e.setRunning(p, false)
@@ -1025,64 +1053,164 @@ func (e *engine) updateCredits() {
 	fair := float64(e.mc.Processors) / float64(e.activeJobs)
 	for _, j := range e.jobs {
 		if j.arrived && !j.done {
-			e.credits[j.id] += (fair - float64(j.curAlloc)) * dt
+			e.st.Credit[j.id] += (fair - float64(j.curAlloc)) * dt
 		}
 	}
 }
 
-// buildState publishes the allocator-visible snapshot.
-func (e *engine) buildState() {
+// The allocator snapshot (e.st) is published incrementally: each engine
+// site that changes a quantity the snapshot shows writes the new value
+// there, so a policy event costs only what changed since the last one.
+// The one exception is Rebalance itself, which may overwrite processor and
+// allocation entries through State.Assign; policyEvent republishes exactly
+// those entries before the next Rebalance.
+
+// publishProc publishes processor p's assignment and activity.
+func (e *engine) publishProc(p *procRT) {
 	s := e.st
-	for _, j := range e.jobs {
-		s.Active[j.id] = j.arrived && !j.done
-		s.Credit[j.id] = e.credits[j.id]
-		s.Demand[j.id] = j.job.Demand()
-		s.Alloc[j.id] = j.curAlloc
-		s.MaxPar[j.id] = j.app.MaxParallelism()
-		s.Desired[j.id] = s.Desired[j.id][:0]
-		if s.Active[j.id] {
-			// Desired processors, most critical tasks first: preempted
-			// tasks hold in-progress threads; idle tasks can take new
-			// work when the job has ready threads.
-			for _, t := range j.tasks {
-				if t.state == taskPreempted && t.lastProc >= 0 {
-					s.Desired[j.id] = append(s.Desired[j.id],
-						alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
-				}
-			}
-			if j.job.ReadyCount() > 0 {
-				for _, t := range j.tasks {
-					if t.state == taskIdle && t.lastProc >= 0 {
-						s.Desired[j.id] = append(s.Desired[j.id],
-							alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
-					}
-				}
-			}
+	s.ProcJob[p.id] = p.job
+	s.ProcWorking[p.id] = p.running
+	s.ProcYield[p.id] = p.yield && !p.running
+}
+
+// noteReady publishes job j's demand after its thread queue changed and,
+// when the ready queue has emptied or refilled, whether the idle half of
+// its Desired list shows and its idle tasks' resumable status.
+func (e *engine) noteReady(j *jobRT) {
+	e.st.Demand[j.id] = j.job.Demand()
+	has := j.job.ReadyCount() > 0
+	if has == j.hasReady {
+		return
+	}
+	j.hasReady = has
+	e.publishDesired(j)
+	for _, dp := range j.desired[j.nPre:] {
+		e.publishResumable(j, j.tasks[dp.Task.Task])
+	}
+}
+
+// publishDesired publishes job j's Desired list: most critical tasks
+// first, since preempted tasks hold in-progress threads; idle tasks only
+// while the job has ready threads for them.
+func (e *engine) publishDesired(j *jobRT) {
+	n := j.nPre
+	if j.hasReady {
+		n += j.nIdle
+	}
+	e.st.Desired[j.id] = j.desired[:n]
+}
+
+// setTaskState moves task t of job j to state st, keeping the job's
+// desired list, its published Desired prefix and t's resumable status
+// current.
+func (e *engine) setTaskState(j *jobRT, t *taskRT, st taskState) {
+	if t.state == st {
+		return
+	}
+	task := t.ref.Task
+	switch {
+	case t.state == taskPreempted:
+		j.desired = deleteDesired(j.desired, desiredIndex(j.desired[:j.nPre], task))
+		j.nPre--
+	case t.state == taskIdle && t.lastProc >= 0:
+		j.desired = deleteDesired(j.desired, j.nPre+desiredIndex(j.desired[j.nPre:], task))
+		j.nIdle--
+	}
+	t.state = st
+	dp := alloc.DesiredProc{Proc: t.lastProc, Task: t.ref}
+	switch {
+	case st == taskPreempted:
+		j.desired = insertDesired(j.desired, desiredIndex(j.desired[:j.nPre], task), dp)
+		j.nPre++
+	case st == taskIdle && t.lastProc >= 0:
+		j.desired = insertDesired(j.desired, j.nPre+desiredIndex(j.desired[j.nPre:], task), dp)
+		j.nIdle++
+	}
+	e.publishDesired(j)
+	e.publishResumable(j, t)
+}
+
+// desiredIndex returns the position in d, which is in task order, of the
+// entry for task index task, or where it would be inserted.
+func desiredIndex(d []alloc.DesiredProc, task int) int {
+	i := 0
+	for i < len(d) && d[i].Task.Task < task {
+		i++
+	}
+	return i
+}
+
+// insertDesired inserts dp into d at position i.
+func insertDesired(d []alloc.DesiredProc, i int, dp alloc.DesiredProc) []alloc.DesiredProc {
+	d = append(d, alloc.DesiredProc{})
+	copy(d[i+1:], d[i:])
+	d[i] = dp
+	return d
+}
+
+// deleteDesired removes the entry at position i of d.
+func deleteDesired(d []alloc.DesiredProc, i int) []alloc.DesiredProc {
+	copy(d[i:], d[i+1:])
+	return d[:len(d)-1]
+}
+
+// publishResumable recomputes task t's allocation-rule A.1 status and, if
+// it changed, publishes it for every processor t last ran on.
+func (e *engine) publishResumable(j *jobRT, t *taskRT) {
+	r := t.state == taskPreempted || (t.state == taskIdle && j.hasReady)
+	if r == t.resumable {
+		return
+	}
+	t.resumable = r
+	for p := t.holders; p >= 0; p = e.procs[p].lastNext {
+		e.st.LastTaskResumable[p] = r
+	}
+}
+
+// setLastTask records t as the last task to have run on processor p,
+// moving p onto t's holder list.
+func (e *engine) setLastTask(p *procRT, t *taskRT) {
+	if p.lastTask == t.ref {
+		return
+	}
+	if lt := p.lastTask; lt.Valid() {
+		old := e.jobs[lt.Job].tasks[lt.Task]
+		if p.lastPrev >= 0 {
+			e.procs[p.lastPrev].lastNext = p.lastNext
+		} else {
+			old.holders = p.lastNext
+		}
+		if p.lastNext >= 0 {
+			e.procs[p.lastNext].lastPrev = p.lastPrev
 		}
 	}
-	for _, p := range e.procs {
-		s.ProcJob[p.id] = p.job
-		s.ProcWorking[p.id] = p.running
-		s.ProcYield[p.id] = p.yield && !p.running
-		s.ProcLastTask[p.id] = p.lastTask
-		s.LastTaskResumable[p.id] = false
-		if p.lastTask.Valid() {
-			lj := e.jobs[p.lastTask.Job]
-			if lj.arrived && !lj.done {
-				lt := lj.tasks[p.lastTask.Task]
-				if lt.state == taskPreempted ||
-					(lt.state == taskIdle && lj.job.ReadyCount() > 0) {
-					s.LastTaskResumable[p.id] = true
-				}
-			}
-		}
+	p.lastTask = t.ref
+	p.lastPrev, p.lastNext = -1, t.holders
+	if t.holders >= 0 {
+		e.procs[t.holders].lastPrev = p.id
 	}
+	t.holders = p.id
+	e.st.ProcLastTask[p.id] = t.ref
+	e.st.LastTaskResumable[p.id] = t.resumable
 }
 
 // policyEvent invokes the policy and applies its decisions.
 func (e *engine) policyEvent(trig alloc.Trigger, arg int) {
 	e.updateCredits()
-	e.buildState()
+	// Republish what the last Rebalance overwrote through Assign: its
+	// decisions have been applied (or skipped as stale) since, and the
+	// engine sites published every real change.
+	procs, jobs := e.st.Overwritten()
+	for _, p := range procs {
+		e.publishProc(e.procs[p])
+	}
+	for _, j := range jobs {
+		e.st.Alloc[j] = e.jobs[j].curAlloc
+	}
+	e.st.ClearOverwritten()
+	if observer != nil {
+		observer.snapshot(e)
+	}
 	decs := e.pol.Rebalance(e.st, trig, arg)
 	e.applyDecisions(decs)
 }
@@ -1114,6 +1242,7 @@ func (e *engine) applyDecisions(decs []alloc.Decision) {
 		} else {
 			p.bound = alloc.NoTask
 		}
+		e.publishProc(p)
 		e.noteAlloc(e.jobs[d.Job], +1)
 		e.dispatch(p)
 	}
