@@ -110,7 +110,9 @@ persist-smoke:
 # three workers (readiness by polling /v1/workers, never by sleeping),
 # kill -9s a worker mid-campaign, and requires the coordinator to absorb
 # the loss — at least one retried or hedged cell in affinityd_fleet_* —
-# with a final body byte-identical to a cold single-process run.
+# with a final body byte-identical to a cold single-process run, every
+# surviving worker's execute requests matched by its outcome counters,
+# and no cell-read route on the coordinator.
 fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' ./cmd/affinityd/
 

@@ -22,7 +22,9 @@
 //	             random port, printed on startup)
 //	-queue       max queued campaigns before requests get 429 (default 16)
 //	-jobs        campaigns executed concurrently (default 2)
-//	-cache-mb    result-cache byte budget in MiB (default 64)
+//	-cache-mb    byte budget in MiB of each of the two in-memory result
+//	             caches, campaign bodies and cells (default 64), so up
+//	             to twice this much is held in memory
 //	-retry-after Retry-After hint on 429 responses, seconds (default 2)
 //	-job-ttl-sec seconds a finished job's status/result stay pollable at
 //	             /v1/jobs before eviction (default 300); evicted ids
@@ -108,7 +110,7 @@ func run() (err error) {
 	addr := fs.String("addr", "127.0.0.1:8642", "listen address (:0 = random port)")
 	queue := fs.Int("queue", 16, "max queued campaigns before 429")
 	jobs := fs.Int("jobs", 2, "campaigns executed concurrently")
-	cacheMB := fs.Int64("cache-mb", 64, "result-cache budget (MiB)")
+	cacheMB := fs.Int64("cache-mb", 64, "budget of each in-memory result cache, campaign bodies and cells (MiB)")
 	retryAfter := fs.Int("retry-after", 2, "Retry-After hint on 429 (seconds)")
 	jobTTL := fs.Int("job-ttl-sec", 300, "seconds finished jobs stay pollable before eviction")
 	maxJobs := fs.Int("max-jobs", 256, "max retained finished jobs regardless of age")
@@ -172,9 +174,9 @@ func run() (err error) {
 		cfg.Store = store
 	}
 	// Fleet roles. Both build the cell cache explicitly so the fleet
-	// side and the service share one instance: the coordinator's peer
-	// cache fill must serve exactly the tiers the service reads, and a
-	// worker's execute path must reuse what its own /v1 traffic cached.
+	// side and the service share one instance: cells the coordinator's
+	// peer fill recovers must land in the tiers the service reads, and
+	// a worker's execute path must reuse what its own /v1 traffic cached.
 	var fleetWorker *fleet.Worker
 	switch {
 	case *coordinator:

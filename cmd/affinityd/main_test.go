@@ -607,7 +607,9 @@ func TestCellSmoke(t *testing.T) {
 //     finish; the dead worker drops from /v1/workers/{id}.
 //  3. The final body must be byte-identical to a cold single-process
 //     run, with the coordinator's misses == executions invariant intact
-//     (duplicates from hedging never double-fold).
+//     (duplicates from hedging never double-fold). Each survivor's
+//     execute requests must all be accounted for by its outcome
+//     counters, and the coordinator must serve no cell reads.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build and campaign runs in -short mode")
@@ -926,6 +928,41 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	if attributed.CellsRemote < 1 || len(attributed.Workers) == 0 {
 		t.Errorf("job view missing worker attribution: %+v", attributed)
+	}
+
+	// Every survivor's books close: each execute request it received
+	// ended as an execution, a tier hit, an error or a refusal — there is
+	// no other outcome, since a worker asks nobody for a dispatched cell.
+	// A hedged duplicate may still be executing, so poll.
+	for i, base := range workerBases {
+		if i == victim {
+			continue
+		}
+		for {
+			requests := metric(base, "affinityd_fleet_worker_requests_total")
+			outcomes := 0
+			for _, name := range []string{"executions", "cache_hits", "disk_hits", "errors", "rejections", "auth_rejections"} {
+				outcomes += metric(base, "affinityd_fleet_worker_"+name+"_total")
+			}
+			if requests == outcomes {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %s: %d execute requests but %d outcomes", base, requests, outcomes)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// The coordinator mounts no cell-read route: peer fill runs only
+	// from the coordinator to the workers.
+	if cr, err := http.Get(coordBase + "/v1/fleet/cells/somekey"); err != nil {
+		t.Fatal(err)
+	} else {
+		io.Copy(io.Discard, cr.Body)
+		cr.Body.Close()
+		if cr.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/fleet/cells/{key} on the coordinator: %d, want 404", cr.StatusCode)
+		}
 	}
 
 	coord.Process.Signal(syscall.SIGTERM)

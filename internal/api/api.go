@@ -26,9 +26,9 @@ import (
 const Version = "v1"
 
 // RequestIDHeader carries the request id minted at the submitting edge.
-// The coordinator forwards it on every dispatch and peer fill, and the
-// serving side echoes it back, so one campaign's cells correlate across
-// the whole fleet.
+// The coordinator forwards it on every dispatch, and the serving side
+// echoes it back, so one campaign's cells correlate across the whole
+// fleet.
 const RequestIDHeader = "X-Request-Id"
 
 // Error is the machine-readable error payload carried by every non-2xx

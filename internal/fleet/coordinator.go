@@ -34,8 +34,8 @@ var ErrBudgetExhausted = errors.New("fleet: re-dispatch budget exhausted")
 // noted per field.
 type Config struct {
 	// Cache and Store are the coordinator's cell cache and persistent
-	// tier — the same instances the service reads — so peer cache fill
-	// serves exactly what the coordinator would have served itself.
+	// tier — the same instances the service reads — so a cell PeerFill
+	// recovers from a worker lands where the service finds it next.
 	// Either may be nil.
 	Cache *resultcache.Cache
 	Store *diskstore.Store
@@ -56,11 +56,11 @@ type Config struct {
 	// (default 50ms).
 	Backoff time.Duration
 	// DefaultCapacity is assumed for workers that register without one
-	// (default 4).
+	// (default 4, the bound such a worker also enforces itself).
 	DefaultCapacity int
-	// PeerFillTimeout bounds each worker probed while relaying a cell
-	// read (default 500ms): the relay is an optimization, so a slow
-	// tier must not stall the requester past what executing would cost.
+	// PeerFillTimeout bounds each worker PeerFill probes (default
+	// 500ms): peer fill is an optimization, so a slow tier must not
+	// stall the cell past what executing it locally would cost.
 	PeerFillTimeout time.Duration
 	// Client overrides the HTTP client used for dispatch.
 	Client *http.Client
@@ -80,7 +80,7 @@ func (c Config) withDefaults() Config {
 		c.Backoff = 50 * time.Millisecond
 	}
 	if c.DefaultCapacity <= 0 {
-		c.DefaultCapacity = 4
+		c.DefaultCapacity = defaultCapacity
 	}
 	if c.PeerFillTimeout <= 0 {
 		c.PeerFillTimeout = 500 * time.Millisecond
@@ -88,7 +88,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// peerFillFanout caps how many workers one relayed cell read probes.
+// peerFillFanout caps how many workers one PeerFill probes.
 const peerFillFanout = 3
 
 // Metrics are the coordinator's fleet counters, written lock-free on
@@ -125,12 +125,7 @@ type Metrics struct {
 	// Expirations counts workers dropped — heartbeat TTL expiry or a
 	// connection-level dispatch failure (they re-register if alive).
 	Expirations obs.Counter
-	// PeerHits/PeerMisses count peer cache-fill lookups served/missed
-	// from the coordinator's own cache tiers.
-	PeerHits   obs.Counter
-	PeerMisses obs.Counter
-	// WorkerFills counts cell reads the coordinator resolved by
-	// relaying to another worker's tiers after missing its own.
+	// WorkerFills counts PeerFill calls resolved from a worker's tiers.
 	WorkerFills obs.Counter
 	// PlacementDecisions counts scored placement decisions (one per
 	// launched attempt).
@@ -214,7 +209,6 @@ func (c *Coordinator) AuthEnabled() bool { return c.auth.enabled() }
 // RegisterHandlers mounts the coordinator's fleet endpoints.
 func (c *Coordinator) RegisterHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathRegister, c.handleRegister)
-	mux.HandleFunc("GET "+PathCells+"{key}", c.handleCell)
 }
 
 // readVerified reads and authenticates a fleet request's body. On
@@ -284,46 +278,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCell is peer cache fill: a fleet member asks for a cell body
-// the fleet may already have paid for. The coordinator checks its own
-// memory tier, then its disk store (promoting a disk hit into memory),
-// then relays the read to the other workers' tiers — excluding the
-// requester (X-Fleet-Peer), which just reported the miss.
-func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
-	api.EchoRequestID(w, r)
-	if err := c.auth.verify(r, nil); err != nil {
-		c.Stats.AuthRejections.Inc()
-		writeAuthError(w, err)
-		return
-	}
-	key := r.PathValue("key")
-	if body, costNs, tier := c.tiers.Get(key); tier != resultcache.TierNone {
-		c.Stats.PeerHits.Inc()
-		serveCell(w, body, costNs)
-		return
-	}
-	if body, costNs, _, ok := c.peerFillAttributed(r.Context(), key, r.Header.Get(peerHeader)); ok {
-		c.Stats.WorkerFills.Inc()
-		serveCell(w, body, costNs)
-		return
-	}
-	c.Stats.PeerMisses.Inc()
-	writeFleetError(w, http.StatusNotFound, "not_found", "", "cell not cached anywhere in the fleet")
-}
-
 // PeerFill asks the live workers' memory+disk tiers for a cell body the
-// coordinator itself is missing — the reverse direction of peer cache
-// fill. Used by the service when dispatch cannot run the cell remotely
-// (budget exhausted, all attempts failed) but a worker may still hold
-// the bytes. Returns the serving worker's URL alongside the body.
+// coordinator's own tiers lack. The service calls it when dispatch
+// cannot run the cell remotely (budget exhausted, all attempts failed)
+// but a worker may still hold the bytes. It probes up to
+// peerFillFanout workers, best-scored first, promotes the first hit
+// into the coordinator's tiers, and returns the serving worker's URL
+// alongside the body.
 func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, costNs uint64, worker string, ok bool) {
-	return c.peerFillAttributed(ctx, key, "")
-}
-
-// peerFillAttributed probes up to peerFillFanout live workers' tiers,
-// best-scored first and skipping exclude (the requester of a relayed
-// read), and promotes the first hit into the coordinator's own tiers.
-func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude string) ([]byte, uint64, string, bool) {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireLocked(now)
@@ -334,17 +296,11 @@ func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude strin
 	cands := make([]cand, 0, len(c.workers))
 	minRTT := 0.0
 	for _, ws := range c.workers {
-		if ws.url == exclude {
-			continue
-		}
 		if ws.rttEWMANs > 0 && (minRTT == 0 || ws.rttEWMANs < minRTT) {
 			minRTT = ws.rttEWMANs
 		}
 	}
 	for _, ws := range c.workers {
-		if ws.url == exclude {
-			continue
-		}
 		cands = append(cands, cand{url: ws.url, score: ws.score(now, minRTT)})
 	}
 	c.mu.Unlock()
@@ -363,15 +319,16 @@ func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude strin
 		if ctx.Err() != nil {
 			return nil, 0, "", false
 		}
-		// Each probe is bounded by the peer-fill timeout: the relay is an
-		// optimization, so a slow tier must not stall the requester.
+		// Each probe is bounded by the peer-fill timeout: a slow tier must
+		// not stall the cell.
 		probeCtx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
-		body, costNs, ok := fetchCell(probeCtx, c.client, c.auth, cd.url, key, nil)
+		body, costNs, ok := fetchCell(probeCtx, c.client, c.auth, cd.url, key)
 		cancel()
 		if ok {
 			// Promote: the coordinator's own tiers now have the bytes, so
-			// the next reader anywhere in the fleet stops at tier one.
+			// the next campaign stops at tier one.
 			c.tiers.Put(key, body, costNs)
+			c.Stats.WorkerFills.Inc()
 			return body, costNs, cd.url, true
 		}
 	}

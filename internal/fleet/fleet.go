@@ -23,14 +23,15 @@
 //     their recomputed cell id and cache key match the request, and
 //     registration rejects engine-version skew, so a mixed-version
 //     fleet can never silently serve wrong bytes.
-//   - Results flow back into the coordinator's caches, so the fleet
-//     shares one logical cache. Peer cache fill closes the loop in both
-//     directions: a worker asks the coordinator's store
-//     (GET /v1/fleet/cells/{key}) before executing, and the coordinator
-//     relays its own misses to the other workers' memory+disk tiers —
-//     so work any fleet member ever finished is never repeated
-//     anywhere, with exec-cost metadata riding along so eviction
-//     currency stays uniform fleet-wide.
+//   - The coordinator is the fleet's one cache lookup: it checks its
+//     memory and disk tiers before dispatching, and every result that
+//     comes back is filed there. A worker therefore never asks anyone
+//     for a dispatched cell: it serves it from its own tiers or
+//     executes it. Peer fill runs one way only: when a dispatch yields
+//     no result, the coordinator probes the workers' tiers
+//     (GET /v1/fleet/cells/{key} on each worker) for bytes a worker
+//     finished but never delivered, with exec-cost metadata riding
+//     along so eviction currency stays uniform fleet-wide.
 //
 // The wire protocol is part of the /v1 API contract (DESIGN.md §7):
 // every response body carries "api_version", every non-2xx response is
@@ -71,12 +72,9 @@ const (
 	PathRegister = "/v1/fleet/register"
 	// PathExecute is the cell execution endpoint (worker side).
 	PathExecute = "/v1/fleet/execute"
-	// PathCells is the cell-read prefix, mounted on BOTH sides:
-	// GET PathCells + key returns the cached cell body or a 404
-	// envelope. On the coordinator it serves its two tiers (relaying a
-	// miss to the other workers); on a worker it serves the worker's
-	// own memory+disk tiers, which is what makes peer fill
-	// bidirectional.
+	// PathCells is the cell-read prefix (worker side): GET PathCells +
+	// key returns the cell body from the worker's own memory+disk tiers
+	// or a 404 envelope. Coordinator.PeerFill is its only reader.
 	PathCells = "/v1/fleet/cells/"
 )
 
@@ -143,8 +141,7 @@ type ExecuteResponse struct {
 	// Engine is the cell's resolved execution tier ("sim"/"analytic").
 	Engine string `json:"engine,omitempty"`
 	// Source tells where the worker got the bytes: "executed",
-	// "cache" (worker memory), "disk" (worker store), or "peer"
-	// (coordinator store via cache fill).
+	// "cache" (worker memory) or "disk" (worker store).
 	Source string `json:"source"`
 	// ExecNs is the execution wall time when Source == "executed", else
 	// the cost metadata that rode along with the cached bytes (0 if
@@ -163,10 +160,10 @@ type ExecuteResponse struct {
 // responses, which return the raw body (not an envelope).
 const execCostHeader = "X-Exec-Cost-Ns"
 
-// peerHeader names the requesting fleet member on a cell-read, so the
-// coordinator's relay never asks the requester for the bytes it just
-// reported missing.
-const peerHeader = "X-Fleet-Peer"
+// defaultCapacity is the concurrent-cell bound of a worker that
+// advertises none: the coordinator assumes it, and the worker enforces
+// it.
+const defaultCapacity = 4
 
 // serveCell writes a raw cell body with its exec-cost metadata: the
 // answer side of GET /v1/fleet/cells/{key}.
@@ -177,18 +174,13 @@ func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
 }
 
 // fetchCell is the asking side: it GETs base's cell-read endpoint for
-// key, signed with auth, and returns the body with its exec-cost
-// metadata. Both directions of peer fill use it — a worker asking the
-// coordinator, the coordinator relaying to workers — each bounding it
-// with its own ctx and adding its own headers (hdr may be nil). Any
-// failure, non-200 or non-JSON body is a miss.
-func fetchCell(ctx context.Context, client *http.Client, auth *authenticator, base, key string, hdr http.Header) ([]byte, uint64, bool) {
+// key, signed with auth and bounded by ctx, and returns the body with
+// its exec-cost metadata. Any failure, non-200 or non-JSON body is a
+// miss.
+func fetchCell(ctx context.Context, client *http.Client, auth *authenticator, base, key string) ([]byte, uint64, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathCells+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, 0, false
-	}
-	for k, v := range hdr {
-		req.Header[k] = v
 	}
 	auth.sign(req, nil)
 	resp, err := client.Do(req)

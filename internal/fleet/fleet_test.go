@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,9 +322,8 @@ func TestHedgeDeterminismProperty(t *testing.T) {
 
 // TestWorkerEndToEnd runs the real Worker against a real cell plan: the
 // worker registers itself, verifies the dispatched plan coordinate,
-// executes the cell, and returns bytes identical to a local run; a cell
-// already in the coordinator's cache is served by peer fill without
-// executing.
+// executes the cell, and returns bytes identical to a local run; a
+// dispatch whose key does not match the plan is refused.
 func TestWorkerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation cell in -short mode")
@@ -383,52 +383,12 @@ func TestWorkerEndToEnd(t *testing.T) {
 		t.Errorf("worker Executions = %d, want 1", got)
 	}
 
-	// Peer fill: a different key already in the coordinator's cache is
-	// served without the worker executing anything.
-	peerBody := []byte(`{"peer":"filled"}`)
-	cache.PutCost("peer-key", peerBody, 77)
-	peerReq := ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key}
-	peerReq.Key = "peer-key"
-	// The worker verifies plan identity before its tier lookups, so the
+	// The worker verifies plan identity before its tier lookups, so a
 	// mismatched key must be refused, not served.
-	if _, err := c.Dispatch(context.Background(), peerReq); err == nil {
+	badReq := req
+	badReq.Key = "some-other-key"
+	if _, err := c.Dispatch(context.Background(), badReq); err == nil {
 		t.Fatal("dispatch with mismatched key succeeded; worker must refuse")
-	}
-
-	// A legitimate peer fill: seed the coordinator cache under the true
-	// key for a worker with empty tiers.
-	w2 := NewWorker(WorkerConfig{Coordinator: coord.URL, Capacity: 4, Heartbeat: 50 * time.Millisecond})
-	w2mux := http.NewServeMux()
-	w2.RegisterHandlers(w2mux)
-	w2ts := httptest.NewServer(w2mux)
-	t.Cleanup(w2ts.Close)
-	w2.Start(w2ts.URL)
-	t.Cleanup(w2.Stop)
-	cache.PutCost(key, want, 123)
-
-	// Force the dispatch onto w2 by filling w1's capacity… simpler: ask
-	// w2 directly over HTTP, which is exactly what a dispatch does.
-	payload, _ := json.Marshal(req)
-	hr, err := http.Post(w2ts.URL+PathExecute, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peerResp ExecuteResponse
-	if err := json.NewDecoder(hr.Body).Decode(&peerResp); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if peerResp.Source != "peer" || !bytes.Equal(peerResp.Body, want) || peerResp.ExecNs != 123 {
-		t.Fatalf("peer fill source=%q execNs=%d, want peer/123 with the cached body", peerResp.Source, peerResp.ExecNs)
-	}
-	if got := w2.Stats.PeerFills.Load(); got != 1 {
-		t.Errorf("worker PeerFills = %d, want 1", got)
-	}
-	if got := w2.Stats.Executions.Load(); got != 0 {
-		t.Errorf("peer-filled worker executed %d cells, want 0", got)
-	}
-	if got := c.Stats.PeerHits.Load(); got != 1 {
-		t.Errorf("coordinator PeerHits = %d, want 1", got)
 	}
 }
 
@@ -475,82 +435,160 @@ func syncStore(t *testing.T, s *diskstore.Store) {
 	}
 }
 
-// TestWorkerPeerFillReachesDisk: a peer-filled cell is filed in both of
-// the worker's tiers, so a restarted -store-dir worker does not fetch it
-// again — with the coordinator's cost, not a zero or local one.
-func TestWorkerPeerFillReachesDisk(t *testing.T) {
-	cache := resultcache.New(1 << 20)
-	coord := coordServer(t, NewCoordinator(Config{Cache: cache}))
+// TestWorkerAsksNobody: the coordinator dispatches a cell only after its
+// own tiers missed, so a worker with empty tiers executes it without
+// contacting the coordinator — even when the coordinator's cache holds
+// the cell under its true key. Registration and heartbeats are the only
+// requests the coordinator sees.
+func TestWorkerAsksNobody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation cell in -short mode")
+	}
 	req := compareCellKey(t)
-	want := []byte(`{"peer":"filled"}`)
-	cache.PutCost(req.Key, want, 123)
-
-	store := openStore(t)
-	w := NewWorker(WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Store: store})
-	mux := http.NewServeMux()
-	w.RegisterHandlers(mux)
-	wts := httptest.NewServer(mux)
-	t.Cleanup(wts.Close)
-
-	payload, _ := json.Marshal(req)
-	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+	plan, err := experiments.Cells(req.Kind, req.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp ExecuteResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+	res, err := plan.Cells[req.Index].Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	hr.Body.Close()
-	if resp.Source != "peer" || !bytes.Equal(resp.Body, want) {
-		t.Fatalf("source=%q body=%s, want a peer fill of %s", resp.Source, resp.Body, want)
+	want, err := report.CanonicalJSON(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	syncStore(t, store)
-	body, cost, ok := store.Get(req.Key)
-	if !ok || !bytes.Equal(body, want) || cost != 123 {
-		t.Errorf("worker store after peer fill: ok=%v cost=%d body=%s, want the body with cost 123", ok, cost, body)
+	cache := resultcache.New(1 << 20)
+	cache.PutCost(req.Key, want, 123)
+	c := NewCoordinator(Config{Cache: cache, HedgeDelay: time.Minute})
+	var mu sync.Mutex
+	var seen []string
+	cmux := http.NewServeMux()
+	c.RegisterHandlers(cmux)
+	coord := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		cmux.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(coord.Close)
+
+	w := NewWorker(WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Heartbeat: 50 * time.Millisecond})
+	wmux := http.NewServeMux()
+	w.RegisterHandlers(wmux)
+	wts := httptest.NewServer(wmux)
+	t.Cleanup(wts.Close)
+	w.Start(wts.URL)
+	t.Cleanup(w.Stop)
+
+	resp, err := c.Dispatch(context.Background(), req)
+	if err != nil {
+		t.Fatalf("dispatch: %v", err)
+	}
+	if resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
+		t.Fatalf("source=%q body=%.120s, want an execution equal to the local run", resp.Source, resp.Body)
+	}
+	if got := w.Stats.Executions.Load(); got != 1 {
+		t.Errorf("worker Executions = %d, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range seen {
+		if r != "POST "+PathRegister {
+			t.Errorf("coordinator saw %q; a worker may only register and heartbeat", r)
+		}
 	}
 }
 
-// TestCellReadPromotesDiskHits: both cell-read endpoints promote a
-// disk-only cell into their memory tier with its original cost, so the
+// TestCoordinatorPeerFill: when dispatch yields no result, PeerFill
+// recovers a cell from a worker's tiers — here a disk-only entry, found
+// after the probe of a hung worker times out — promotes it into both of
+// the coordinator's tiers with the worker's cost, and counts one
+// WorkerFills. A key no worker holds is a miss.
+func TestCoordinatorPeerFill(t *testing.T) {
+	const key, cost = "disk-only-cell", 456
+	want := []byte(`{"cell":"on disk"}`)
+	wstore := openStore(t)
+	wstore.Put(key, want, cost)
+	syncStore(t, wstore)
+	holder := NewWorker(WorkerConfig{Cache: resultcache.New(1 << 20), Store: wstore})
+	hmux := http.NewServeMux()
+	holder.RegisterHandlers(hmux)
+	hts := httptest.NewServer(hmux)
+	t.Cleanup(hts.Close)
+
+	// The hung worker answers no cell read until the test ends.
+	release := make(chan struct{})
+	var hungProbes atomic.Int64
+	hung := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		hungProbes.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+
+	cache, store := resultcache.New(1<<20), openStore(t)
+	c := NewCoordinator(Config{Cache: cache, Store: store, PeerFillTimeout: 50 * time.Millisecond})
+	ts := coordServer(t, c)
+	// The hung worker advertises more capacity, so the scorer's load
+	// term ranks it first and PeerFill must time its probe out.
+	registerWorker(t, ts.URL, hung.URL, 16, version.Engine)
+	registerWorker(t, ts.URL, hts.URL, 1, version.Engine)
+
+	body, gotCost, worker, ok := c.PeerFill(context.Background(), key)
+	if !ok || !bytes.Equal(body, want) || gotCost != cost || worker != hts.URL {
+		t.Fatalf("PeerFill = (%s, %d, %q, %v), want (%s, %d, %q, true)", body, gotCost, worker, ok, want, cost, hts.URL)
+	}
+	if got := hungProbes.Load(); got != 1 {
+		t.Errorf("hung worker probed %d times, want 1 (ranked first, then timed out)", got)
+	}
+	if got, gc, ok := cache.GetCost(key); !ok || !bytes.Equal(got, want) || gc != cost {
+		t.Errorf("coordinator memory after PeerFill: ok=%v cost=%d, want the cell with cost %d", ok, gc, cost)
+	}
+	syncStore(t, store)
+	if got, gc, ok := store.Get(key); !ok || !bytes.Equal(got, want) || gc != cost {
+		t.Errorf("coordinator store after PeerFill: ok=%v cost=%d, want the cell with cost %d", ok, gc, cost)
+	}
+	if got := c.Stats.WorkerFills.Load(); got != 1 {
+		t.Errorf("WorkerFills = %d, want 1", got)
+	}
+
+	if _, _, _, ok := c.PeerFill(context.Background(), "no-such-cell"); ok {
+		t.Error("PeerFill found a cell no worker holds")
+	}
+	if got := c.Stats.WorkerFills.Load(); got != 1 {
+		t.Errorf("WorkerFills = %d after a miss, want 1", got)
+	}
+}
+
+// TestCellReadPromotesDiskHits: the worker's cell-read endpoint promotes
+// a disk-only cell into its memory tier with its original cost, so the
 // next peer read does not re-read and re-CRC the frame.
 func TestCellReadPromotesDiskHits(t *testing.T) {
-	cases := []struct {
-		name  string
-		mount func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store)
-	}{
-		{"worker", func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store) {
-			NewWorker(WorkerConfig{Cache: cache, Store: store}).RegisterHandlers(mux)
-		}},
-		{"coordinator", func(mux *http.ServeMux, cache *resultcache.Cache, store *diskstore.Store) {
-			NewCoordinator(Config{Cache: cache, Store: store}).RegisterHandlers(mux)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const key, cost = "disk-only-cell", 456
-			want := []byte(`{"cell":"on disk"}`)
-			cache, store := resultcache.New(1<<20), openStore(t)
-			store.Put(key, want, cost)
-			syncStore(t, store)
-			mux := http.NewServeMux()
-			tc.mount(mux, cache, store)
-			ts := httptest.NewServer(mux)
-			t.Cleanup(ts.Close)
+	t.Run("worker", func(t *testing.T) {
+		const key, cost = "disk-only-cell", 456
+		want := []byte(`{"cell":"on disk"}`)
+		cache, store := resultcache.New(1<<20), openStore(t)
+		store.Put(key, want, cost)
+		syncStore(t, store)
+		mux := http.NewServeMux()
+		NewWorker(WorkerConfig{Cache: cache, Store: store}).RegisterHandlers(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
 
-			resp, err := http.Get(ts.URL + PathCells + key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-				t.Fatalf("GET cell: %d %s", resp.StatusCode, body)
-			}
-			if got, c, ok := cache.GetCost(key); !ok || !bytes.Equal(got, want) || c != cost {
-				t.Errorf("memory tier after read: ok=%v cost=%d, want the cell with cost %d", ok, c, cost)
-			}
-		})
-	}
+		resp, err := http.Get(ts.URL + PathCells + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("GET cell: %d %s", resp.StatusCode, body)
+		}
+		if got, c, ok := cache.GetCost(key); !ok || !bytes.Equal(got, want) || c != cost {
+			t.Errorf("memory tier after read: ok=%v cost=%d, want the cell with cost %d", ok, c, cost)
+		}
+	})
 }

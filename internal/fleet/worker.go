@@ -23,7 +23,9 @@ import (
 
 // WorkerConfig parameterizes a Worker.
 type WorkerConfig struct {
-	// Coordinator is the coordinator's base URL ("http://host:port").
+	// Coordinator is the base URL ("http://host:port") of the
+	// coordinator this worker registers and heartbeats with; the worker
+	// sends it nothing else.
 	Coordinator string
 	// Token is the fleet's shared secret; must match the coordinator's
 	// -fleet-token or every registration is refused with 401. Empty
@@ -35,15 +37,15 @@ type WorkerConfig struct {
 	// are refused with 429 so an overeager or skewed coordinator cannot
 	// pile work past what was advertised.
 	Capacity int
-	// Cache and Store are the worker's local tiers, consulted before
-	// peer fill and execution, and served back to the fleet via the
-	// cell-read endpoint; either may be nil.
+	// Cache and Store are the worker's local tiers: consulted before
+	// executing a dispatched cell, filled by every execution, and read
+	// by the coordinator's PeerFill via the cell-read endpoint. Either
+	// may be nil.
 	Cache *resultcache.Cache
 	Store *diskstore.Store
 	// Heartbeat is the registration re-POST interval (default 2s).
 	Heartbeat time.Duration
-	// Client overrides the HTTP client used for heartbeats and peer
-	// fill.
+	// Client overrides the HTTP client used for heartbeats.
 	Client *http.Client
 	// Logf, when non-nil, receives registration failures (a worker keeps
 	// retrying — the coordinator may simply not be up yet).
@@ -61,11 +63,8 @@ type WorkerMetrics struct {
 	// worker's local memory cache / disk store.
 	CacheHits obs.Counter
 	DiskHits  obs.Counter
-	// PeerFills counts cells served by asking the coordinator's store
-	// instead of executing.
-	PeerFills obs.Counter
 	// CellServes counts cell-read requests this worker answered from its
-	// own tiers — the worker's half of bidirectional peer fill.
+	// own tiers for the coordinator's PeerFill.
 	CellServes obs.Counter
 	// AuthRejections counts fleet requests this worker refused with 401.
 	AuthRejections obs.Counter
@@ -123,7 +122,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // RegisterHandlers mounts the worker's fleet endpoints: cell execution,
 // and the cell-read endpoint that exposes the worker's own memory+disk
-// tiers to the rest of the fleet (the coordinator relays misses here).
+// tiers to the coordinator's PeerFill.
 func (w *Worker) RegisterHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathExecute, w.handleExecute)
 	mux.HandleFunc("GET "+PathCells+"{key}", w.handleCell)
@@ -134,7 +133,7 @@ func (w *Worker) capacity() int64 {
 	if w.cfg.Capacity > 0 {
 		return int64(w.cfg.Capacity)
 	}
-	return 4 // mirrors the coordinator's DefaultCapacity
+	return defaultCapacity
 }
 
 // Start begins registering (and re-registering every heartbeat) with
@@ -216,9 +215,9 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// handleExecute runs one dispatched cell. Lookup order mirrors the
-// coordinator's own tiers, extended by peer cache fill: local memory →
-// local disk → coordinator store → execute. Whatever the source, the
+// handleExecute runs one dispatched cell: local memory → local disk →
+// execute. The coordinator dispatched the cell because its own tiers
+// missed, so the worker asks nobody else. Whatever the source, the
 // response carries the cell's canonical bytes and their provenance.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.Stats.Requests.Inc()
@@ -296,24 +295,6 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		writeFleetJSON(rw, http.StatusOK, resp)
 		return
 	}
-	// Peer fill: ask the coordinator's tiers (which relay to the other
-	// workers'). The X-Fleet-Peer header names this worker so the relay
-	// skips it, and the request id rides along so the whole fan-out
-	// correlates.
-	if w.cfg.Coordinator != "" {
-		hdr := http.Header{}
-		hdr.Set(peerHeader, advertise)
-		if rid := r.Header.Get(api.RequestIDHeader); rid != "" {
-			hdr.Set(api.RequestIDHeader, rid)
-		}
-		if body, costNs, ok := fetchCell(r.Context(), w.client, w.auth, w.cfg.Coordinator, key, hdr); ok {
-			w.Stats.PeerFills.Inc()
-			w.tiers.Put(key, body, costNs)
-			resp.Source, resp.Body, resp.ExecNs = "peer", body, costNs
-			writeFleetJSON(rw, http.StatusOK, resp)
-			return
-		}
-	}
 
 	start := time.Now()
 	var res any
@@ -336,17 +317,16 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.Stats.Executions.Inc()
 	w.Stats.ExecNs.Observe(elapsed)
 	// Cache locally in both tiers: the worker's future dispatches (and
-	// the rest of the fleet, via the cell-read endpoint) reuse the work
-	// even if the coordinator's copy is evicted.
+	// the coordinator's PeerFill, via the cell-read endpoint) reuse the
+	// work even if the coordinator's copy is evicted.
 	w.tiers.Put(key, body, elapsed)
 	resp.Source, resp.Body, resp.ExecNs = "executed", body, elapsed
 	writeFleetJSON(rw, http.StatusOK, resp)
 }
 
-// handleCell serves the worker's own tiers to the fleet: the read half
-// of bidirectional peer fill. The coordinator relays its own cell-read
-// misses here, so bytes only this worker ever computed are reachable
-// from every other fleet member.
+// handleCell serves the worker's own tiers to the coordinator's
+// PeerFill, so bytes only this worker ever computed are recoverable
+// when a dispatch yields no result.
 func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	api.EchoRequestID(rw, r)
 	if err := w.auth.verify(r, nil); err != nil {

@@ -223,9 +223,9 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// exactly one result ever comes back per miss — the Misses ==
 		// Executions invariant is placement-independent. When dispatch
 		// cannot produce a result (no live workers, budget exhausted,
-		// every attempt failed), bidirectional peer fill gets one shot —
-		// a worker's cache tier may still hold bytes the fleet already
-		// paid for — and then the cell falls back to local execution:
+		// every attempt failed), peer fill gets one shot — a worker's
+		// tiers may still hold bytes the fleet already paid for — and
+		// then the cell falls back to local execution:
 		// the fleet accelerates campaigns, never gates them.
 		var body []byte
 		var workerURL, placement string

@@ -90,7 +90,10 @@ type Config struct {
 	// JobWorkers is the number of campaigns run concurrently (default 2).
 	// Each campaign additionally fans its cells out over CellWorkers.
 	JobWorkers int
-	// CacheBytes is the result cache's byte budget (default 64 MiB).
+	// CacheBytes is the byte budget of each of the server's two memory
+	// tiers (default 64 MiB): the campaign-body cache and, unless
+	// CellCache is given, the cell cache. A daemon can thus hold up to
+	// twice CacheBytes of results in memory.
 	CacheBytes int64
 	// CellWorkers is the per-campaign cell concurrency applied when a
 	// request leaves params.workers at 0 (0 = let the campaign use all
@@ -134,10 +137,10 @@ type Config struct {
 	// (internal/fleet): campaign cells that miss both cache tiers are
 	// dispatched over HTTP to registered workers — with bounded retry,
 	// hedged re-dispatch of stragglers, and local-execution fallback —
-	// and the coordinator's fleet endpoints (worker registration, peer
-	// cache fill) are mounted alongside /v1. The Coordinator should
-	// share this server's CellCache and Store so peer fill serves the
-	// same tiers the server reads.
+	// and the coordinator's fleet endpoint (worker registration) is
+	// mounted alongside /v1. The Coordinator should share this server's
+	// CellCache and Store so cells its PeerFill recovers land in the
+	// tiers the server reads.
 	Fleet *fleet.Coordinator
 	// FleetWorker, when non-nil, mounts the worker-side cell execution
 	// endpoint and renders its counters at /metrics; set by cmd/affinityd
